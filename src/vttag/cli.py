@@ -58,6 +58,12 @@ def _cmd_family_gen(args) -> None:
         seed=args.seed,
         budget=args.budget,
     )
+    if len(family) < args.count:
+        print(
+            f"warning: found {len(family)} of {args.count} requested codes "
+            f"within a budget of {args.budget} candidates",
+            file=sys.stderr,
+        )
     _write_text(args.out, json.dumps(family.to_json_dict(), indent=2) + "\n")
 
 

@@ -1,8 +1,9 @@
 """Tag detector: binarize, trace quads, sample payload, decode, recover pose.
 
-The pipeline is deliberately plain: adaptive mean thresholding over an
-integral image, Moore boundary tracing of dark components, farthest-point
-quad fitting, a Hartley-normalized DLT homography, border-referenced cell
+The pipeline is deliberately plain: adaptive mean thresholding from
+separable running sums, the outer boundary of each dark component ordered
+by angle around its centroid (as in AprilTag 2), farthest-point quad
+fitting, a Hartley-normalized DLT homography, border-referenced cell
 thresholding, and pose recovery from the homography columns. Every stage
 is deterministic; corner accuracy comes from averaging near-tied boundary
 pixels rather than gradient-based refinement.
@@ -10,8 +11,8 @@ pixels rather than gradient-based refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import ndimage
@@ -85,81 +86,80 @@ class Detection:
         }
 
 
+def _window_sums(a: np.ndarray, window: int, dtype) -> np.ndarray:
+    """Sum of each row's clipped (2*window+1)-row neighborhood, per column.
+
+    One running sum down axis 0, padded with `window` zero rows before and
+    `window` copies of the total after, so every clipped window is the
+    difference of two equal-length slices.
+    """
+    h = a.shape[0]
+    window = min(window, h)  # a wider window covers the same rows
+    run = np.zeros((h + 2 * window + 1,) + a.shape[1:], dtype=dtype)
+    np.cumsum(a, axis=0, dtype=dtype, out=run[window + 1 : window + 1 + h])
+    run[window + 1 + h :] = run[window + h]
+    return run[2 * window + 1 :] - run[:h]
+
+
 def binarize(image: Image, window: int = 15, offset: float = 10.0) -> Image:
     """Mark pixels strictly darker than their clipped local mean minus offset.
 
     Foreground (dark) pixels are 255 in the result. The local mean is taken
-    over the (2*window+1)^2 neighborhood clipped to the image, computed with
-    an integral image.
+    over the (2*window+1)^2 neighborhood clipped to the image, from two
+    separable running sums (down the columns, then along the rows).
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    px = image.pixels.astype(np.float64)
+    px = image.pixels
     h, w = px.shape
-    integ = np.zeros((h + 1, w + 1))
-    integ[1:, 1:] = px.cumsum(axis=0).cumsum(axis=1)
+    # no running sum exceeds the image total, so this integer type is exact
+    acc = np.min_scalar_type(255 * h * w)
+    sums = _window_sums(_window_sums(px, window, acc).T, window, acc).T
 
     r = np.arange(h)
     c = np.arange(w)
-    r1 = np.clip(r - window, 0, h)
-    r2 = np.clip(r + window + 1, 0, h)
-    c1 = np.clip(c - window, 0, w)
-    c2 = np.clip(c + window + 1, 0, w)
-    sums = (
-        integ[r2[:, None], c2[None, :]]
-        - integ[r1[:, None], c2[None, :]]
-        - integ[r2[:, None], c1[None, :]]
-        + integ[r1[:, None], c1[None, :]]
-    )
-    area = (r2 - r1)[:, None] * (c2 - c1)[None, :]
-    fg = px < sums / area - offset
-    return Image(np.where(fg, 255, 0).astype(np.uint8))
+    rows = np.minimum(r + window + 1, h) - np.maximum(r - window, 0)
+    cols = np.minimum(c + window + 1, w) - np.maximum(c - window, 0)
+    fg = px < sums / (rows[:, None] * cols[None, :]) - offset
+    return Image(fg.astype(np.uint8) * np.uint8(255))
 
 
-_MOORE_OFFS = (
-    (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1),
-)  # clockwise ring starting West
+_FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
+_EIGHT_CONNECTED = ndimage.generate_binary_structure(2, 2)
 
 
-def _trace_boundary(comp: np.ndarray) -> np.ndarray:
-    """Outer boundary of a connected component as an ordered (row, col) cycle.
+def _outer_boundary(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outer boundary pixels of an 8-connected component, ordered by angle.
 
-    Moore-neighbor tracing with 8-connectivity, starting from the
-    topmost-leftmost pixel and scanning clockwise from the backtrack.
+    The background of the padded bounding box is labeled with
+    4-connectivity; the region holding the padding corner is the outside.
+    Component pixels 4-adjacent to it form the outer boundary (hole edges
+    drop out), ordered by angle around their centroid with a stable sort.
+    Returns (rows, cols) in the component's own coordinates.
     """
-    m = np.pad(comp, 1)
-    rs, cs = np.nonzero(m)
-    start = (int(rs[0]), int(cs[0]))
-    boundary = [start]
-    cur = start
-    b_idx = 0  # backtrack direction (West of start is background by construction)
-    seen_states = {(cur, b_idx)}
-    while True:
-        found = None
-        for k in range(1, 9):
-            idx = (b_idx + k) % 8
-            nr, nc = cur[0] + _MOORE_OFFS[idx][0], cur[1] + _MOORE_OFFS[idx][1]
-            if m[nr, nc]:
-                found = (idx, k, (nr, nc))
-                break
-        if found is None:
-            break  # isolated pixel
-        idx, k, nxt = found
-        # backtrack for the next step: last background cell examined this sweep
-        prev_idx = (b_idx + k - 1) % 8
-        bg = (cur[0] + _MOORE_OFFS[prev_idx][0], cur[1] + _MOORE_OFFS[prev_idx][1])
-        db = (bg[0] - nxt[0], bg[1] - nxt[1])
-        b_idx = _MOORE_OFFS.index(db)
-        cur = nxt
-        state = (cur, b_idx)
-        if state in seen_states:
-            break
-        seen_states.add(state)
-        boundary.append(cur)
-    # strip the trailing revisit of the start pixel, if any
-    if len(boundary) > 1 and boundary[-1] == start:
-        boundary.pop()
-    return np.array(boundary, dtype=float) - 1.0  # undo padding
+    h, w = comp.shape
+    wp = w + 2
+    bg = np.ones((h + 2, wp), dtype=bool)
+    np.logical_not(comp, out=bg[1:-1, 1:-1])
+    regions, _ = ndimage.label(bg, structure=_FOUR_CONNECTED)
+    out = (regions == regions[0, 0]).ravel()
+    # flat index f of the padded box, from its second row to its second
+    # last; the 4-neighbors of f are f -/+ 1 and f -/+ wp
+    edge = out[wp - 1 : -wp - 1] | out[wp + 1 : -wp + 1]
+    edge |= out[: -2 * wp]
+    edge |= out[2 * wp :]
+    edge &= ~bg.ravel()[wp:-wp]
+    rs, cs = np.divmod(np.flatnonzero(edge), wp)
+    cs -= 1
+    order = np.argsort(
+        np.arctan2(rs - rs.sum() / rs.size, cs - cs.sum() / cs.size), kind="stable"
+    )
+    # start the cycle where a boundary walk starts, at the topmost-leftmost
+    # pixel (index 0 in raster order): _fit_quad_corners breaks ties by
+    # position in the cycle
+    k = int(np.argmin(order))
+    order = np.concatenate([order[k:], order[:k]])
+    return rs[order], cs[order]
 
 
 def _diameter_pair(pts: np.ndarray) -> tuple[int, int]:
@@ -174,13 +174,34 @@ def _diameter_pair(pts: np.ndarray) -> tuple[int, int]:
         cand = np.arange(len(pts))
     sub = pts[cand]
     d2 = ((sub[:, None, :] - sub[None, :, :]) ** 2).sum(-1)
-    i, j = np.unravel_index(np.argmax(d2), d2.shape)
+    i, j = divmod(int(np.argmax(d2)), len(cand))
     return int(cand[i]), int(cand[j])
 
 
 # Boundary pixels whose chord distance ties the farthest one within this
 # many pixels are averaged; tames the tangential jitter of a single argmax.
 _CORNER_TIE_TOL = 0.3
+
+
+_PREV = np.array([3, 0, 1, 2])  # index of corner k-1
+_NEXT = np.array([1, 2, 3, 0])  # index of corner k+1
+
+
+def _chord_distances(
+    pts: np.ndarray, p: np.ndarray, q: np.ndarray
+) -> Optional[np.ndarray]:
+    """Distance of every point from each line p[k] q[k], shape (k, len(pts)).
+
+    None when some p[k] and q[k] coincide. All points are pixel centers, so
+    every product below is a multiple of 0.5 and every sum is exact: the
+    result equals |(pt - p) x (q - p)| / |q - p| to the last bit.
+    """
+    ch = q - p
+    norm = np.sqrt((ch * ch).sum(axis=1))
+    if norm.min() < 1e-9:
+        return None
+    perp = ch[:, ::-1] * (1.0, -1.0)  # (ch_y, -ch_x)
+    return np.abs(perp @ pts.T - (p * perp).sum(axis=1)[:, None]) / norm[:, None]
 
 
 def _fit_quad_corners(pts: np.ndarray) -> Optional[np.ndarray]:
@@ -194,63 +215,56 @@ def _fit_quad_corners(pts: np.ndarray) -> Optional[np.ndarray]:
     m = len(pts)
     if m < 8:
         return None
-    ia, ib = _diameter_pair(pts)
-    if ia > ib:
-        ia, ib = ib, ia
-    a, b = pts[ia], pts[ib]
-    chord = b - a
-    norm = np.linalg.norm(chord)
-    if norm < 1e-9:
+    ia, ib = sorted(_diameter_pair(pts))
+    d = _chord_distances(pts, pts[[ia]], pts[[ib]])
+    if d is None:
         return None
-
-    def farthest_on_arc(idx: np.ndarray) -> Optional[int]:
-        if idx.size == 0:
-            return None
-        rel = pts[idx] - a
-        d = np.abs(rel[:, 0] * chord[1] - rel[:, 1] * chord[0]) / norm
-        return int(idx[np.argmax(d)])
-
-    arc1 = np.arange(ia + 1, ib)
-    arc2 = np.concatenate([np.arange(ib + 1, m), np.arange(0, ia)])
-    j1 = farthest_on_arc(arc1)
-    j2 = farthest_on_arc(arc2)
-    if j1 is None or j2 is None:
+    # farthest point on each arc; the arc past ib wraps round to ia, and
+    # argmax keeps the first of tied points in that order
+    arc1, arc2 = d[0, ia + 1 : ib], np.concatenate([d[0, ib + 1 :], d[0, :ia]])
+    if arc1.size == 0 or arc2.size == 0:
         return None
-    order = sorted([ia, j1, ib, j2])
+    j1 = ia + 1 + int(np.argmax(arc1))
+    j2 = (ib + 1 + int(np.argmax(arc2))) % m
+    order = np.array(sorted([ia, j1, ib, j2]))
 
-    corners = np.empty((4, 2))
-    for k in range(4):
-        i_prev, i_next = order[(k - 1) % 4], order[(k + 1) % 4]
-        p, q = pts[i_prev], pts[i_next]
-        ch = q - p
-        nc = np.linalg.norm(ch)
-        if nc < 1e-9:
-            return None
-        if i_next > i_prev:
-            arc = np.arange(i_prev, i_next + 1)
-        else:
-            arc = np.concatenate([np.arange(i_prev, m), np.arange(0, i_next + 1)])
-        rel = pts[arc] - p
-        d = np.abs(rel[:, 0] * ch[1] - rel[:, 1] * ch[0]) / nc
-        near = pts[arc][d >= d.max() - _CORNER_TIE_TOL]
-        corners[k] = near.mean(axis=0)
-    return corners
+    # row k refits corner k on the arc from corner k-1 to corner k+1, both
+    # ends included, against the chord joining those two corners
+    i_prev, i_next = order[_PREV], order[_NEXT]
+    d = _chord_distances(pts, pts[i_prev], pts[i_next])
+    if d is None:
+        return None
+    on_arc = (np.arange(m) - i_prev[:, None]) % m <= ((i_next - i_prev) % m)[:, None]
+    d_max = np.where(on_arc, d, -np.inf).max(axis=1)
+    near = on_arc & (d >= (d_max - _CORNER_TIE_TOL)[:, None])
+    # sums of pixel centers are exact, so this equals each near set's mean
+    return (near @ pts) / near.sum(axis=1)[:, None]
 
 
 def _shoelace(corners: np.ndarray) -> float:
     x, y = corners[:, 0], corners[:, 1]
-    return 0.5 * float(
-        np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-    )
+    return 0.5 * float(np.sum(x * y[_NEXT] - x[_NEXT] * y))
 
 
 def _is_convex(corners: np.ndarray) -> bool:
-    signs = []
-    for i in range(4):
-        e1 = corners[(i + 1) % 4] - corners[i]
-        e2 = corners[(i + 2) % 4] - corners[(i + 1) % 4]
-        signs.append(np.sign(e1[0] * e2[1] - e1[1] * e2[0]))
-    return all(s != 0 for s in signs) and len(set(signs)) == 1
+    e = corners[_NEXT] - corners
+    signs = np.sign(e[:, 0] * e[_NEXT, 1] - e[:, 1] * e[_NEXT, 0])
+    return bool((signs != 0).all() and (signs == signs[0]).all())
+
+
+def _push_outward(corners: np.ndarray) -> np.ndarray:
+    """Move each corner half a pixel out along the mean of its edge normals.
+
+    Traced coords are dark-pixel centers; the true border edge lies half a
+    pixel further out.
+    """
+    e = corners[_NEXT] - corners  # edge k runs from corner k to corner k+1
+    n = np.column_stack([-e[:, 1], e[:, 0]])
+    # each length is a 1x2 @ 2x1 product, the same BLAS dot (fused
+    # multiply-add where the CPU has it) as np.linalg.norm(n[k]); an
+    # elementwise x*x + y*y can differ from it in the last bit
+    n = n / (np.sqrt(n[:, None, :] @ n[:, :, None])[:, 0] + 1e-12)
+    return corners + 0.5 * (n[_PREV] + n)
 
 
 def extract_quads(
@@ -266,39 +280,25 @@ def extract_quads(
     describe the outer edge of the dark border rather than pixel centers.
     """
     mask = binary.pixels > 0
-    labels, nlab = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    labels, _ = ndimage.label(mask, structure=_EIGHT_CONNECTED)
     quads = []
     for i, sl in enumerate(ndimage.find_objects(labels), start=1):
         if sl is None:
             continue
         comp = labels[sl] == i
-        npix = int(comp.sum())
+        npix = np.count_nonzero(comp)
         if npix < max(8, min_area * 0.1):
             continue
-        bpts = _trace_boundary(comp)
+        rs, cs = _outer_boundary(comp)
         # boundary (row, col) -> continuous pixel-center coords (x, y)
-        pts = np.column_stack(
-            [bpts[:, 1] + sl[1].start + 0.5, bpts[:, 0] + sl[0].start + 0.5]
-        )
+        pts = np.column_stack([cs + (sl[1].start + 0.5), rs + (sl[0].start + 0.5)])
         corners = _fit_quad_corners(pts)
         if corners is None or not _is_convex(corners):
             continue
         # normalize to CCW screen order (negative shoelace with y down)
         if _shoelace(corners) > 0:
             corners = corners[::-1]
-        # push half a pixel outward along the mean of the adjacent edge
-        # normals: traced coords are dark-pixel centers, the true border
-        # edge lies half a pixel further out
-        pushed = corners.copy()
-        for k in range(4):
-            e_prev = corners[k] - corners[k - 1]
-            e_next = corners[(k + 1) % 4] - corners[k]
-            n1 = np.array([-e_prev[1], e_prev[0]])
-            n2 = np.array([-e_next[1], e_next[0]])
-            n1 /= np.linalg.norm(n1) + 1e-12
-            n2 /= np.linalg.norm(n2) + 1e-12
-            pushed[k] = corners[k] + 0.5 * (n1 + n2)
-        corners = pushed
+        corners = _push_outward(corners)
         area = abs(_shoelace(corners))
         if area < min_area:
             continue
@@ -306,7 +306,7 @@ def extract_quads(
         if not (fill_min <= ratio <= fill_max):
             continue
         first = int(np.argmin((corners**2).sum(axis=1)))
-        corners = np.roll(corners, -first, axis=0)
+        corners = np.concatenate([corners[first:], corners[:first]])
         quads.append(Quad(corners=corners, area=area))
     return quads
 

@@ -30,8 +30,6 @@ from .localization import PlanarPose, PoseEstimate, detection_weight, vehicle_po
 from .protocol import (
     AttackerState,
     AttackerStrategy,
-    BusPhase,
-    MsgKind,
     ProtocolConfig,
     ProtocolMessage,
     RsuState,
@@ -430,7 +428,6 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
 
     events: list = []
     truth: list = []
-    ss_root = np.random.SeedSequence([config.seed, 0xF8A3E])
 
     def log(tick, name, detail):
         events.append(_jsonable_event(tick, name, detail))

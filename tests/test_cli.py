@@ -38,6 +38,17 @@ class TestFamilyGen:
         out = capsys.readouterr().out
         assert json.loads(out)["n"] == 4
 
+    def test_short_family_warns_on_stderr(self, capsys):
+        # the budget covers only the greedy pass, which stops at 13 codes
+        assert run_cli([
+            "family-gen", "--n", "4", "--d-min", "6", "--count", "14",
+            "--seed", "0", "--budget", "65536", "--out", "-",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.out)["codes"]) == 13
+        assert captured.err.startswith("warning:")
+        assert all(s in captured.err for s in ("13", "14", "65536"))
+
     def test_impossible_family_exits_1(self, capsys, tmp_path):
         code = run_cli([
             "family-gen", "--n", "2", "--d-min", "9", "--count", "5",

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from vttag.codes import generate_family, rotate90
 from vttag.detector import (
     Detection,
     DetectorParams,
+    _fit_quad_corners,
+    _outer_boundary,
     binarize,
     detect,
     estimate_homography,
@@ -47,7 +50,87 @@ def fronto_tag(index, depth=2.0, tag_size=0.7):
     )
 
 
+_MOORE_OFFS = (
+    (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1),
+)  # clockwise ring starting West
+
+
+def _moore_walk(comp: np.ndarray) -> np.ndarray:
+    """Reference outer boundary: Moore-neighbor tracing, (row, col) per step.
+
+    8-connectivity, starting from the topmost-leftmost pixel and scanning
+    clockwise from the backtrack; stops when a (pixel, backtrack) state
+    repeats. A pixel the walk passes twice appears twice.
+    """
+    m = np.pad(comp, 1)
+    rs, cs = np.nonzero(m)
+    start = (int(rs[0]), int(cs[0]))
+    boundary = [start]
+    cur = start
+    b_idx = 0  # backtrack direction (West of start is background by construction)
+    seen_states = {(cur, b_idx)}
+    while True:
+        found = None
+        for k in range(1, 9):
+            idx = (b_idx + k) % 8
+            nr, nc = cur[0] + _MOORE_OFFS[idx][0], cur[1] + _MOORE_OFFS[idx][1]
+            if m[nr, nc]:
+                found = (idx, k, (nr, nc))
+                break
+        if found is None:
+            break  # isolated pixel
+        idx, k, nxt = found
+        # backtrack for the next step: last background cell examined this sweep
+        prev_idx = (b_idx + k - 1) % 8
+        bg = (cur[0] + _MOORE_OFFS[prev_idx][0], cur[1] + _MOORE_OFFS[prev_idx][1])
+        db = (bg[0] - nxt[0], bg[1] - nxt[1])
+        b_idx = _MOORE_OFFS.index(db)
+        cur = nxt
+        state = (cur, b_idx)
+        if state in seen_states:
+            break
+        seen_states.add(state)
+        boundary.append(cur)
+    # strip the trailing revisit of the start pixel, if any
+    if len(boundary) > 1 and boundary[-1] == start:
+        boundary.pop()
+    return np.array(boundary) - 1  # undo padding
+
+
+def _components(mask: np.ndarray):
+    """(bounding-box slices, mask) of each 8-connected component."""
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    for i, sl in enumerate(ndimage.find_objects(labels), start=1):
+        yield sl, labels[sl] == i
+
+
+def _centers(rows, cols, sl) -> np.ndarray:
+    """Component (row, col) -> image pixel-center coords (x, y)."""
+    return np.column_stack(
+        [np.asarray(cols) + sl[1].start + 0.5, np.asarray(rows) + sl[0].start + 0.5]
+    ).astype(float)
+
+
 class TestBinarize:
+    @pytest.mark.parametrize(
+        "shape, levels, offset", [((7, 11), 256, 10.0), ((23, 9), 3, 0.0)]
+    )
+    @pytest.mark.parametrize("window", [1, 4, 40])
+    def test_matches_brute_force_mean(self, shape, levels, offset, window):
+        # levels=3 with offset 0 puts many pixels exactly on their local mean
+        rng = np.random.default_rng(window)
+        px = rng.integers(0, levels, shape).astype(np.uint8)
+        want = np.zeros(shape, dtype=np.uint8)
+        for r in range(shape[0]):
+            for c in range(shape[1]):
+                win = px[max(r - window, 0) : r + window + 1,
+                         max(c - window, 0) : c + window + 1]
+                if px[r, c] < win.mean() - offset:
+                    want[r, c] = 255
+        got = binarize(Image(px), window=window, offset=offset).pixels
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
     def test_dark_square_found(self):
         px = np.full((60, 60), 200, dtype=np.uint8)
         px[20:40, 20:40] = 20
@@ -90,6 +173,66 @@ class TestExtractQuads:
         sq = np.full((120, 120), 220, dtype=np.uint8)
         sq[30:80, 30:80] = 0
         assert len(extract_quads(binarize(Image(sq), window=20), fill_min=0.9)) == 1
+
+
+class TestOuterBoundary:
+    def test_same_pixels_as_moore_walk(self):
+        ring = np.zeros((9, 9), dtype=bool)
+        ring[1:8, 1:8] = True
+        ring[3:6, 3:6] = False
+        ring[4, 4] = True  # an island inside the hole is another component
+        blobs = [
+            ring,
+            np.eye(6, dtype=bool),  # one-pixel diagonal lines
+            np.fliplr(np.eye(5, dtype=bool)),
+            np.ones((1, 1), dtype=bool),
+        ]
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            shape = tuple(rng.integers(6, 30, 2))
+            blobs.append(rng.random(shape) < rng.uniform(0.3, 0.7))
+        n = 0
+        for blob in blobs:
+            for _, comp in _components(blob):
+                rs, cs = _outer_boundary(comp)
+                got = list(zip(rs.tolist(), cs.tolist()))
+                want = set(map(tuple, _moore_walk(comp).tolist()))
+                assert len(got) == len(set(got)) == len(want)
+                assert set(got) == want
+                n += 1
+        assert n > 2000
+
+    @pytest.mark.parametrize(
+        "tilt, spin", [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.4, 1.1), (-0.6, 2.0)]
+    )
+    def test_fit_same_corners_as_moore_order(self, camera, family, tilt, spin):
+        cx, sx = np.cos(tilt), np.sin(tilt)
+        cz, sz = np.cos(spin), np.sin(spin)
+        rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+        rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1.0]])
+        tag = PlacedTag(
+            index=4,
+            tag_size=0.7,
+            pose=RigidTransform(
+                rx @ np.diag([1.0, -1.0, -1.0]) @ rz, np.array([0.05, -0.03, 2.2])
+            ),
+        )
+        img = render_scene(camera, [tag], family)
+        # a pixel just inside one corner of the black border
+        corner = project(camera, tag_border_corners(tag)[0])
+        centre = project(camera, tag.pose.translation)
+        x, y = np.floor(corner + 0.1 * (centre - corner)).astype(int)
+        mask = binarize(Image(img.pixels)).pixels > 0
+        [(sl, comp)] = [
+            (sl, comp) for sl, comp in _components(mask)
+            if sl[0].start <= y < sl[0].stop and sl[1].start <= x < sl[1].stop
+            and comp[y - sl[0].start, x - sl[1].start]
+        ]
+        walk = _moore_walk(comp)
+        by_walk = _fit_quad_corners(_centers(walk[:, 0], walk[:, 1], sl))
+        by_angle = _fit_quad_corners(_centers(*_outer_boundary(comp), sl))
+        assert by_walk is not None
+        assert np.array_equal(by_walk, by_angle)
 
 
 class TestHomography:
