@@ -196,12 +196,25 @@ def _feistel_batch(idx: np.ndarray, half_bits: int, keys: np.ndarray) -> np.ndar
     return (left << hb) | right
 
 
-def _candidate_stream(n: int, seed: int, sweep: int = 0, batch: int = 8192):
+# Indices per Feistel evaluation, and per batch of the swap phase, whose
+# tabu clock counts batches.
+_BATCH = 8192
+# Indices per chunk of the greedy pass.
+_GREEDY_CHUNK = 1 << 16
+
+
+def _candidate_stream(n: int, seed: int, sweep: int = 0, batch: int = _BATCH):
     """Yield packed candidate codes in a seeded pseudo-random permutation order.
 
     A Feistel permutation over a power-of-two superset of the n*n-bit space,
     with out-of-range values discarded, visits every candidate exactly once.
     Each sweep number keys an independent permutation of the same space.
+
+    Each yielded array holds the in-range values of the next `batch` indices
+    of the permutation, in order; empty arrays are skipped. So `batch` only
+    sets where the stream is cut, never its values or their order. The
+    permutation itself is evaluated _BATCH indices at a time, which keeps
+    its temporaries small whatever the batch.
     """
     nbits = n * n
     half = (nbits + 1) // 2
@@ -210,9 +223,12 @@ def _candidate_stream(n: int, seed: int, sweep: int = 0, batch: int = 8192):
     entropy = [seed, 0xFE157E1] + ([sweep] if sweep else [])
     keys = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
     for start in range(0, domain, batch):
-        idx = np.arange(start, min(start + batch, domain), dtype=np.uint64)
-        vals = _feistel_batch(idx, half, keys)
-        vals = vals[vals < limit]
+        stop = min(start + batch, domain)
+        blocks = []
+        for lo in range(start, stop, _BATCH):
+            vals = _feistel_batch(np.arange(lo, min(lo + _BATCH, stop), dtype=np.uint64), half, keys)
+            blocks.append(vals[vals < limit])
+        vals = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         if vals.size:
             yield vals
 
@@ -236,7 +252,11 @@ def generate_family(
 
     Greedy pass: walk a seeded pseudo-random permutation of every n x n code
     and accept each admissible candidate that conflicts with no accepted
-    code.
+    code. The family only grows here, so a candidate that conflicts with an
+    accepted code is out for good. The pass walks the permutation in
+    _GREEDY_CHUNK-index chunks. It screens each chunk against the accepted
+    codes one code at a time, tests only the survivors for admissibility,
+    then accepts the first survivor and re-screens the rest against it.
 
     Swap phase: if the greedy pass walks the whole permutation without
     reaching max_codes, the family is maximal, so the search walks further
@@ -244,7 +264,8 @@ def generate_family(
     accepted code is added. One that conflicts with exactly one accepted
     code replaces it, unless that code entered by a swap within the last
     _TABU_BATCHES batches. Swaps keep the family's size and walk it across
-    maximal families until an addition opens up.
+    maximal families until an addition opens up. This phase keeps
+    _BATCH-index batches, since its tabu clock counts batches.
 
     Stops after max_codes acceptances or budget candidates examined over
     both phases, so a family the greedy pass completes never reaches the
@@ -266,11 +287,24 @@ def generate_family(
     tables = _rotation_tables(n).astype(dtype)
 
     def rotations(value: int) -> np.ndarray:
-        """The four quarter turns of one code, shape (4, 1)."""
+        """The four quarter turns of one code, shape (4,)."""
         out = [np.array([value], dtype=dtype)]
         for _ in range(3):
             out.append(_rotate_packed(out[-1], tables))
-        return np.stack(out)
+        return np.concatenate(out)
+
+    def admissible(values: np.ndarray) -> np.ndarray:
+        """Mask of values at least d_min from their own rotations; d(v, r270 v) == d(r90 v, v)."""
+        r90 = _rotate_packed(values, tables)
+        r180 = _rotate_packed(r90, tables)
+        return (np.bitwise_count(values ^ r90) >= d_min) & (np.bitwise_count(values ^ r180) >= d_min)
+
+    def clear_of(values: np.ndarray, rots: np.ndarray) -> np.ndarray:
+        """The values, in order, that conflict with none of the four rotations rots of one code."""
+        keep = np.bitwise_count(values ^ rots[0]) >= d_min
+        for r in rots[1:]:
+            keep &= np.bitwise_count(values ^ r) >= d_min
+        return values[keep]
 
     def conflicts(values: np.ndarray, rots: np.ndarray) -> np.ndarray:
         """(len(values), codes) mask: True where a value conflicts with that column's code."""
@@ -280,35 +314,39 @@ def generate_family(
         return hit
 
     accepted: list[int] = []
-    accepted_rots = np.empty((4, 0), dtype=dtype)  # column i: rotations of code i
-    entered: list[int] = []  # batch at which each code was swapped in
+    greedy_rots: list[np.ndarray] = []  # rotations(code) of each accepted code
     examined = 0
+    for vals in _candidate_stream(n, seed, batch=_GREEDY_CHUNK):
+        vals = vals[: budget - examined].astype(dtype)
+        examined += vals.size
+        for rots in greedy_rots:
+            vals = clear_of(vals, rots)
+        vals = vals[admissible(vals)]
+        while vals.size and len(accepted) < max_codes:
+            value = int(vals[0])
+            accepted.append(value)
+            greedy_rots.append(rotations(value))
+            vals = clear_of(vals[1:], greedy_rots[-1])
+        if len(accepted) == max_codes or examined >= budget:
+            break
+
+    # column i: rotations of code i; a contiguous copy, as conflicts() is slow on a strided view
+    accepted_rots = np.array(greedy_rots, dtype=dtype).reshape(-1, 4).T.copy()
+    entered = [-_TABU_BATCHES] * len(accepted)  # swap-phase batch at which each code was swapped in
     batch_no = 0
-    sweep = 0
-    while len(accepted) < max_codes and examined < budget:
-        if sweep > 0 and not accepted:
-            break  # no code passes the self-rotation check at all
+    sweep = 1
+    while accepted and len(accepted) < max_codes and examined < budget:
         for vals in _candidate_stream(n, seed, sweep):
             vals = vals[: budget - examined].astype(dtype)
-            if vals.size == 0:
-                break
             examined += vals.size
-            # keep admissible candidates only; d(v, r270 v) == d(r90 v, v)
-            r90 = _rotate_packed(vals, tables)
-            r180 = _rotate_packed(r90, tables)
-            vals = vals[
-                (np.bitwise_count(vals ^ r90) >= d_min)
-                & (np.bitwise_count(vals ^ r180) >= d_min)
-            ]
+            vals = vals[admissible(vals)]
             hit = conflicts(vals, accepted_rots)
 
             pos = 0
             while len(accepted) < max_codes:
                 count = np.count_nonzero(hit[pos:], axis=1)
-                ok = count == 0
-                if sweep > 0:
-                    tabu = [i for i, b in enumerate(entered) if b > batch_no - _TABU_BATCHES]
-                    ok |= (count == 1) & ~hit[pos:, tabu].any(axis=1)
+                tabu = [i for i, b in enumerate(entered) if b > batch_no - _TABU_BATCHES]
+                ok = (count == 0) | ((count == 1) & ~hit[pos:, tabu].any(axis=1))
                 hits = np.nonzero(ok)[0]
                 if hits.size == 0:
                     break
@@ -320,7 +358,7 @@ def generate_family(
                     slot = len(accepted)
                     accepted.append(value)
                     entered.append(-_TABU_BATCHES)
-                    accepted_rots = np.hstack([accepted_rots, rotations(value)])
+                    accepted_rots = np.column_stack([accepted_rots, rotations(value)])
                     hit = np.hstack([hit, np.zeros((vals.size, 1), dtype=bool)])
                 else:
                     slot = int(np.argmax(hit[p]))
@@ -328,7 +366,7 @@ def generate_family(
                         continue  # a rotation of the code it would replace
                     accepted[slot] = value
                     entered[slot] = batch_no
-                    accepted_rots[:, slot] = rotations(value)[:, 0]
+                    accepted_rots[:, slot] = rotations(value)
                 # re-screen the rest of the batch against the changed code
                 hit[pos:, slot] = conflicts(vals[pos:], accepted_rots[:, slot : slot + 1])[:, 0]
             batch_no += 1

@@ -12,6 +12,7 @@ pixels rather than gradient-based refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -370,8 +371,12 @@ def _apply_h(H: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return hom[:, :2] / hom[:, 2:3]
 
 
+@lru_cache(maxsize=None)
 def _grid_centers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample points in border-square coords: payload cells, black ring, white ring."""
+    """Sample points in border-square coords: payload cells, black ring, white ring.
+
+    Built once per n; the arrays are shared, so they are read-only.
+    """
     cell = 2.0 / (n + 2)
 
     def center(i: float, j: float) -> tuple[float, float]:
@@ -397,6 +402,8 @@ def _grid_centers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if i in (-1, n + 2) or j in (-1, n + 2)
         ]
     )
+    for points in (payload, black, white):
+        points.flags.writeable = False
     return payload, black, white
 
 

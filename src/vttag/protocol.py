@@ -154,7 +154,6 @@ class BusState:
     round: int = 0
     appointed_t: Optional[int] = None
     pending_display: Optional[int] = None  # switches onto the screen at appointed_t
-    fused_pose: Optional[dict] = None  # latest fusion, json-ready
     code_pool: tuple = ()
     pending_acks: tuple = ()
     resolved_tick: Optional[int] = None  # first tick a challenge resolved
@@ -469,8 +468,7 @@ def bus_step(
                 continue
             if st.phase is not BusPhase.SYNC_WAIT:
                 continue
-            verdict = msg.payload["verdict"]
-            kind = verdict.kind if isinstance(verdict, SyncVerdict) else verdict["kind"]
+            kind = msg.payload["verdict"].kind
             if kind == "unique":
                 st = replace(
                     st,
@@ -511,14 +509,6 @@ def bus_step(
         latest = max(r.timestamp for r in reports)
         group = [r for r in reports if r.timestamp == latest]
         fused = fuse_poses(group)
-        st = replace(
-            st,
-            fused_pose={
-                "pose": fused.pose.to_json_dict(),
-                "timestamp": latest,
-                "n_views": fused.n_views,
-            },
-        )
         events.append(
             (
                 "fused_pose",

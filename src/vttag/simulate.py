@@ -373,9 +373,7 @@ def compute_metrics(events, truth, config: ScenarioConfig) -> dict:
 def _jsonable_event(tick: int, name: str, detail: dict) -> dict:
     out = {"tick": tick, "event": name}
     for k, v in detail.items():
-        if isinstance(v, PoseEstimate):
-            out[k] = v.to_json_dict()
-        elif hasattr(v, "to_json_dict"):
+        if hasattr(v, "to_json_dict"):
             out[k] = v.to_json_dict()
         else:
             out[k] = v

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,10 @@ from vttag.codes import (
     hamming,
     identity_space_size,
     rotate90,
+    _BATCH,
+    _GREEDY_CHUNK,
+    _TABU_BATCHES,
+    _candidate_stream,
     _rotate_packed,
     _rotation_tables,
 )
@@ -170,6 +176,125 @@ class TestGenerateFamily:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             generate_family(4, 6, 10, seed=0, budget=5)
+
+
+def _reference_generate_family(n, d_min, max_codes, seed, budget=2_000_000):
+    """generate_family's codes as one loop over _BATCH-index batches, for both phases.
+
+    Every batch builds the full conflict matrix of its admissible candidates
+    against the accepted codes, and the batch counter runs through both
+    phases. generate_family must return the same codes.
+    """
+    dtype = np.uint32 if n * n <= 32 else np.uint64
+    tables = _rotation_tables(n).astype(dtype)
+
+    def rotations(value):
+        out = [np.array([value], dtype=dtype)]
+        for _ in range(3):
+            out.append(_rotate_packed(out[-1], tables))
+        return np.stack(out)
+
+    def conflicts(values, rots):
+        hit = np.zeros((values.size, rots.shape[1]), dtype=bool)
+        for q in range(4):
+            hit |= np.bitwise_count(values[:, None] ^ rots[q][None, :]) < d_min
+        return hit
+
+    accepted = []
+    accepted_rots = np.empty((4, 0), dtype=dtype)
+    entered = []
+    examined = batch_no = sweep = 0
+    while len(accepted) < max_codes and examined < budget:
+        if sweep > 0 and not accepted:
+            break
+        for vals in _candidate_stream(n, seed, sweep):
+            vals = vals[: budget - examined].astype(dtype)
+            if vals.size == 0:
+                break
+            examined += vals.size
+            r90 = _rotate_packed(vals, tables)
+            r180 = _rotate_packed(r90, tables)
+            vals = vals[
+                (np.bitwise_count(vals ^ r90) >= d_min)
+                & (np.bitwise_count(vals ^ r180) >= d_min)
+            ]
+            hit = conflicts(vals, accepted_rots)
+            pos = 0
+            while len(accepted) < max_codes:
+                count = np.count_nonzero(hit[pos:], axis=1)
+                ok = count == 0
+                if sweep > 0:
+                    tabu = [i for i, b in enumerate(entered) if b > batch_no - _TABU_BATCHES]
+                    ok |= (count == 1) & ~hit[pos:, tabu].any(axis=1)
+                hits = np.nonzero(ok)[0]
+                if hits.size == 0:
+                    break
+                p = pos + int(hits[0])
+                swap = count[p - pos] == 1
+                pos = p + 1
+                value = int(vals[p])
+                if not swap:
+                    slot = len(accepted)
+                    accepted.append(value)
+                    entered.append(-_TABU_BATCHES)
+                    accepted_rots = np.hstack([accepted_rots, rotations(value)])
+                    hit = np.hstack([hit, np.zeros((vals.size, 1), dtype=bool)])
+                else:
+                    slot = int(np.argmax(hit[p]))
+                    if value in accepted_rots[:, slot]:
+                        continue
+                    accepted[slot] = value
+                    entered[slot] = batch_no
+                    accepted_rots[:, slot] = rotations(value)[:, 0]
+                hit[pos:, slot] = conflicts(vals[pos:], accepted_rots[:, slot : slot + 1])[:, 0]
+            batch_no += 1
+            if len(accepted) == max_codes or examined >= budget:
+                break
+        sweep += 1
+    if not accepted:
+        raise GenerationExhausted(examined)
+    return [TagCode.from_int(n, v) for v in accepted]
+
+
+# (n, d_min, max_codes, seed, budget): greedy-only, budget cuts inside the
+# greedy pass, and swap-phase runs
+ORACLE_CASES = [
+    (3, 3, 5, 0, 1000),
+    (4, 5, 20, 1, 2_000_000),
+    (4, 6, 14, 0, 65536),
+    (4, 6, 14, 0, 200_000),
+    (4, 6, 15, 0, 2_000_000),
+    (4, 7, 8, 0, 2_000_000),
+    (5, 9, 30, 42, 2_000_000),
+    (5, 9, 30, 42, 150_001),
+]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=str)
+def test_generate_family_matches_reference(case):
+    n, d_min, count, seed, budget = case
+    fam = generate_family(n, d_min, count, seed=seed, budget=budget)
+    assert list(fam.codes) == _reference_generate_family(n, d_min, count, seed, budget)
+
+
+def test_oracle_budget_cut_lands_inside_a_greedy_chunk():
+    # the last budget above must cut mid-chunk and mid-batch, before the
+    # family is complete
+    chunks = itertools.islice(_candidate_stream(5, 42, batch=_GREEDY_CHUNK), 8)
+    ends = np.cumsum([v.size for v in chunks])
+    assert 150_001 % _BATCH and 150_001 not in ends and ends[-1] > 150_001
+    assert len(generate_family(5, 9, 30, seed=42, budget=150_001)) < 30
+
+
+@pytest.mark.parametrize("n, indices", [(3, None), (4, None), (5, 1 << 20)])
+def test_candidate_stream_is_independent_of_batch(n, indices):
+    def stream(batch):
+        arrays = _candidate_stream(n, seed=5, batch=batch)
+        if indices is not None:
+            arrays = itertools.islice(arrays, indices // batch)
+        return np.concatenate(list(arrays))
+
+    np.testing.assert_array_equal(stream(_BATCH), stream(_GREEDY_CHUNK))
 
 
 @pytest.fixture(scope="module")
