@@ -102,12 +102,28 @@ def _window_sums(a: np.ndarray, window: int, dtype) -> np.ndarray:
     return run[2 * window + 1 :] - run[:h]
 
 
+@lru_cache(maxsize=8)
+def _window_areas(h: int, w: int, window: int) -> np.ndarray:
+    """Pixel count of each clipped (2*window+1)^2 window of an h x w image.
+
+    Built once per (h, w, window); the array is shared, so it is read-only.
+    """
+    r = np.arange(h)
+    c = np.arange(w)
+    rows = np.minimum(r + window + 1, h) - np.maximum(r - window, 0)
+    cols = np.minimum(c + window + 1, w) - np.maximum(c - window, 0)
+    area = (rows[:, None] * cols[None, :]).astype(float)
+    area.flags.writeable = False
+    return area
+
+
 def binarize(image: Image, window: int = 15, offset: float = 10.0) -> Image:
     """Mark pixels strictly darker than their clipped local mean minus offset.
 
     Foreground (dark) pixels are 255 in the result. The local mean is taken
     over the (2*window+1)^2 neighborhood clipped to the image, from two
-    separable running sums (down the columns, then along the rows).
+    separable running sums (down the columns, then along the rows), divided
+    by a window-area table cached per (height, width, window).
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -116,13 +132,11 @@ def binarize(image: Image, window: int = 15, offset: float = 10.0) -> Image:
     # no running sum exceeds the image total, so this integer type is exact
     acc = np.min_scalar_type(255 * h * w)
     sums = _window_sums(_window_sums(px, window, acc).T, window, acc).T
-
-    r = np.arange(h)
-    c = np.arange(w)
-    rows = np.minimum(r + window + 1, h) - np.maximum(r - window, 0)
-    cols = np.minimum(c + window + 1, w) - np.maximum(c - window, 0)
-    fg = px < sums / (rows[:, None] * cols[None, :]) - offset
-    return Image(fg.astype(np.uint8) * np.uint8(255))
+    # the integer sums divide in float64, as they would by integer areas
+    thr = sums / _window_areas(h, w, window)
+    thr -= offset
+    fg = px < thr
+    return Image(fg.view(np.uint8) * np.uint8(255))
 
 
 _FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
@@ -281,6 +295,8 @@ def extract_quads(
     describe the outer edge of the dark border rather than pixel centers.
     """
     mask = binary.pixels > 0
+    if not mask.any():
+        return []
     labels, _ = ndimage.label(mask, structure=_EIGHT_CONNECTED)
     quads = []
     for i, sl in enumerate(ndimage.find_objects(labels), start=1):

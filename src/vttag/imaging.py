@@ -285,7 +285,11 @@ def render_scene(
     if noise_sigma > 0:
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed)])))
         noise = gen.standard_normal((h, w))
-        img = np.clip(np.rint(img.astype(float) + noise_sigma * noise), 0, 255).astype(
-            np.uint8
-        )
+        # clip(rint(img + sigma * noise)) in place on the noise array; the sum
+        # commutes, so the frame is the same to the bit
+        noise *= noise_sigma
+        noise += img
+        np.rint(noise, out=noise)
+        np.clip(noise, 0, 255, out=noise)
+        img = noise.astype(np.uint8)
     return Image(img)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .detector import Detection
-from .localization import PoseEstimate, fuse_poses
+from .localization import fuse_poses
 
 __all__ = [
     "MsgKind",
@@ -93,12 +93,7 @@ class ProtocolMessage:
     def to_json_dict(self) -> dict:
         payload = {}
         for k, v in self.payload.items():
-            if isinstance(v, PoseEstimate):
-                payload[k] = v.to_json_dict()
-            elif isinstance(v, SyncVerdict):
-                payload[k] = v.to_json_dict()
-            else:
-                payload[k] = v
+            payload[k] = v.to_json_dict() if hasattr(v, "to_json_dict") else v
         return {
             "kind": self.kind.value,
             "sender": self.sender,

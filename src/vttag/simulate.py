@@ -24,7 +24,7 @@ import numpy as np
 
 from .codes import TagFamily, generate_family
 from .detector import DetectorParams, detect
-from .errors import ScenarioError
+from .errors import DegenerateProjection, ScenarioError
 from .imaging import CameraModel, PlacedTag, render_scene
 from .localization import PlanarPose, PoseEstimate, detection_weight, vehicle_pose_from_detection
 from .protocol import (
@@ -39,7 +39,6 @@ from .protocol import (
     rsu_step,
 )
 from .transforms import RigidTransform, planar_to_world, wrap_angle
-from .errors import DegenerateProjection
 
 __all__ = [
     "Trajectory",

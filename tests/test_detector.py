@@ -12,6 +12,7 @@ from vttag.detector import (
     DetectorParams,
     _fit_quad_corners,
     _outer_boundary,
+    _window_areas,
     binarize,
     detect,
     estimate_homography,
@@ -111,6 +112,18 @@ def _centers(rows, cols, sl) -> np.ndarray:
     ).astype(float)
 
 
+def _brute_force_binarize(px: np.ndarray, window: int, offset: float) -> np.ndarray:
+    """255 where a pixel is below its clipped window's mean minus offset."""
+    want = np.zeros(px.shape, dtype=np.uint8)
+    for r in range(px.shape[0]):
+        for c in range(px.shape[1]):
+            win = px[max(r - window, 0) : r + window + 1,
+                     max(c - window, 0) : c + window + 1]
+            if px[r, c] < win.mean() - offset:
+                want[r, c] = 255
+    return want
+
+
 class TestBinarize:
     @pytest.mark.parametrize(
         "shape, levels, offset", [((7, 11), 256, 10.0), ((23, 9), 3, 0.0)]
@@ -120,16 +133,26 @@ class TestBinarize:
         # levels=3 with offset 0 puts many pixels exactly on their local mean
         rng = np.random.default_rng(window)
         px = rng.integers(0, levels, shape).astype(np.uint8)
-        want = np.zeros(shape, dtype=np.uint8)
-        for r in range(shape[0]):
-            for c in range(shape[1]):
-                win = px[max(r - window, 0) : r + window + 1,
-                         max(c - window, 0) : c + window + 1]
-                if px[r, c] < win.mean() - offset:
-                    want[r, c] = 255
+        want = _brute_force_binarize(px, window, offset)
         got = binarize(Image(px), window=window, offset=offset).pixels
         assert got.dtype == np.uint8
         assert np.array_equal(got, want)
+
+    def test_area_table_cached_per_shape_and_window(self):
+        # shapes A, B, A under each window: a table reused across shapes or
+        # across windows would misjudge pixels near the image edges
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 4, (30, 40)).astype(np.uint8)
+        b = rng.integers(0, 4, (25, 17)).astype(np.uint8)
+        for window in (2, 5):
+            for px in (a, b, a):
+                got = binarize(Image(px), window=window, offset=0.0).pixels
+                assert np.array_equal(got, _brute_force_binarize(px, window, 0.0))
+        area = _window_areas(30, 40, 5)
+        assert area is _window_areas(30, 40, 5)
+        assert not area.flags.writeable
+        with pytest.raises(ValueError):
+            area[0, 0] = 1.0
 
     def test_dark_square_found(self):
         px = np.full((60, 60), 200, dtype=np.uint8)
@@ -162,6 +185,9 @@ class TestExtractQuads:
         px = np.full((60, 60), 220, dtype=np.uint8)
         px[10:13, 10:13] = 0
         assert extract_quads(binarize(Image(px), window=8)) == []
+
+    def test_empty_mask_no_quads(self):
+        assert extract_quads(Image(np.zeros((48, 64), dtype=np.uint8))) == []
 
     def test_non_quad_rejected_by_fill_ratio(self):
         # a plus shape fills only ~80% of its enclosing diamond; a strict
@@ -330,6 +356,13 @@ class TestDetect:
     def test_empty_image_no_detections(self, camera, family):
         img = Image(np.full((240, 320), 96, dtype=np.uint8))
         assert detect(img, camera, family, 0.7) == []
+
+    def test_noisy_frame_without_tag_no_detections(self, family):
+        # sigma 1 never reaches the 10-level offset, so no pixel is foreground
+        cam = CameraModel(fx=700.0, fy=700.0, cx=320.0, cy=240.0, width=640, height=480)
+        img = render_scene(cam, [], family, noise_sigma=1.0, seed=0)
+        assert not binarize(img).pixels.any()
+        assert detect(img, cam, family, 0.7) == []
 
     def test_two_tags_both_found(self, camera, family):
         left = PlacedTag(

@@ -140,6 +140,26 @@ class TestRenderScene:
         assert (a.pixels == b.pixels).all()
         assert (a.pixels != c.pixels).any()
 
+    @pytest.mark.parametrize("size", [(240, 320), (180, 240)])
+    @pytest.mark.parametrize("sigma", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 11])
+    def test_noise_matches_reference_formula(self, family, size, sigma, seed):
+        # the frame must equal the noise formula to the bit, from the same
+        # Philox stream: a float32 or reordered draw changes it
+        h, w = size
+        cam = CameraModel(fx=500.0, fy=500.0, cx=w / 2, cy=h / 2, width=w, height=h)
+        tag = PlacedTag(index=4, tag_size=0.7, pose=RigidTransform(
+            np.diag([1.0, -1.0, -1.0]), np.array([0, 0, 2.0])))
+        clean = render_scene(cam, [tag], family).pixels
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
+        noisy = clean.astype(float) + sigma * gen.standard_normal((h, w))
+        want = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+        # the tag's black and white cells push the sum past both clip bounds
+        assert noisy.min() < -0.5 and noisy.max() > 255.5
+        got = render_scene(cam, [tag], family, noise_sigma=sigma, seed=seed).pixels
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
     def test_depth_buffer_near_tag_wins(self, camera, family):
         base = RigidTransform(np.diag([1.0, -1.0, -1.0]), np.array([0, 0, 3.0]))
         near = PlacedTag(index=0, tag_size=0.4, pose=RigidTransform(
