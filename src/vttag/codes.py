@@ -179,20 +179,34 @@ class TagFamily:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
+def _feistel_round(part: np.ndarray, key, mask: np.uint64) -> np.ndarray:
+    """The round function of _feistel_batch: a keyed mix of one half, cut to mask."""
+    x = (part ^ np.uint64(key)) * np.uint64(0xFF51AFD7ED558CCD)
+    x ^= x >> np.uint64(33)
+    x *= np.uint64(0xC4CEB9FE1A85EC53)
+    x ^= x >> np.uint64(29)
+    return x & mask
+
+
 def _feistel_batch(idx: np.ndarray, half_bits: int, keys: np.ndarray) -> np.ndarray:
     """Four-round Feistel network: a keyed pseudo-random permutation of 2*half_bits-bit ints."""
     hb = np.uint64(half_bits)
     mask = np.uint64((1 << half_bits) - 1)
     left = (idx >> hb) & mask
     right = idx & mask
-    m1 = np.uint64(0xFF51AFD7ED558CCD)
-    m2 = np.uint64(0xC4CEB9FE1A85EC53)
     for k in keys:
-        x = (right ^ np.uint64(k)) * m1
-        x ^= x >> np.uint64(33)
-        x *= m2
-        x ^= x >> np.uint64(29)
-        left, right = right, left ^ (x & mask)
+        left, right = right, left ^ _feistel_round(right, k, mask)
+    return (left << hb) | right
+
+
+def _feistel_inverse(vals: np.ndarray, half_bits: int, keys: np.ndarray) -> np.ndarray:
+    """The index that _feistel_batch maps to each value: its rounds run backwards."""
+    hb = np.uint64(half_bits)
+    mask = np.uint64((1 << half_bits) - 1)
+    left = (vals >> hb) & mask
+    right = vals & mask
+    for k in keys[::-1]:
+        left, right = right ^ _feistel_round(left, k, mask), left
     return (left << hb) | right
 
 
@@ -201,6 +215,12 @@ def _feistel_batch(idx: np.ndarray, half_bits: int, keys: np.ndarray) -> np.ndar
 _BATCH = 8192
 # Indices per chunk of the greedy pass.
 _GREEDY_CHUNK = 1 << 16
+
+
+def _stream_keys(seed: int, sweep: int) -> np.ndarray:
+    """The four Feistel round keys of one seed and sweep."""
+    entropy = [seed, 0xFE157E1] + ([sweep] if sweep else [])
+    return np.random.SeedSequence(entropy).generate_state(4, np.uint64)
 
 
 def _candidate_stream(n: int, seed: int, sweep: int = 0, batch: int = _BATCH):
@@ -220,8 +240,7 @@ def _candidate_stream(n: int, seed: int, sweep: int = 0, batch: int = _BATCH):
     half = (nbits + 1) // 2
     domain = 1 << (2 * half)
     limit = 1 << nbits
-    entropy = [seed, 0xFE157E1] + ([sweep] if sweep else [])
-    keys = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+    keys = _stream_keys(seed, sweep)
     for start in range(0, domain, batch):
         stop = min(start + batch, domain)
         blocks = []
@@ -257,6 +276,20 @@ def generate_family(
     _GREEDY_CHUNK-index chunks. It screens each chunk against the accepted
     codes one code at a time, tests only the survivors for admissibility,
     then accepts the first survivor and re-screens the rest against it.
+
+    Finish: once a chunk screens out entirely and budget covers all 2^(n*n)
+    codes, the pass screens every code in natural order instead, sorts the
+    survivors by their index in the permutation (_feistel_inverse) and
+    accepts them as above; it then counts all 2^(n*n) codes as examined.
+    This is exact. The family only grows, so a survivor was also clear
+    when the walk passed it and would have been accepted: every survivor
+    lies beyond the walked prefix. Every code the walk could still accept
+    is a survivor, so taking them in permutation order, with the
+    re-screen, is the rest of the walk. With that budget the walk cannot
+    be cut, and it would have examined every code. The finish saves the
+    Feistel evaluation of the rest of the permutation and the discard of
+    its out-of-range half, and it runs at most once, since the pass ends
+    after it.
 
     Swap phase: if the greedy pass walks the whole permutation without
     reaching max_codes, the family is maximal, so the search walks further
@@ -315,18 +348,41 @@ def generate_family(
 
     accepted: list[int] = []
     greedy_rots: list[np.ndarray] = []  # rotations(code) of each accepted code
+
+    def screen(values: np.ndarray) -> np.ndarray:
+        """The values, in order, that the greedy pass could still accept."""
+        for rots in greedy_rots:
+            values = clear_of(values, rots)
+        return values[admissible(values)]
+
+    def accept_in_order(values: np.ndarray) -> None:
+        """Accept screened values in order, re-screening the rest after each acceptance."""
+        while values.size and len(accepted) < max_codes:
+            value = int(values[0])
+            accepted.append(value)
+            greedy_rots.append(rotations(value))
+            values = clear_of(values[1:], greedy_rots[-1])
+
+    space = 1 << (n * n)
     examined = 0
     for vals in _candidate_stream(n, seed, batch=_GREEDY_CHUNK):
         vals = vals[: budget - examined].astype(dtype)
         examined += vals.size
-        for rots in greedy_rots:
-            vals = clear_of(vals, rots)
-        vals = vals[admissible(vals)]
-        while vals.size and len(accepted) < max_codes:
-            value = int(vals[0])
-            accepted.append(value)
-            greedy_rots.append(rotations(value))
-            vals = clear_of(vals[1:], greedy_rots[-1])
+        vals = screen(vals)
+        if vals.size == 0 and budget >= space:
+            # finish: the walk can no longer be cut, and only codes still
+            # clear now can be accepted later, so take those in walk order
+            survivors = np.concatenate(
+                [
+                    screen(np.arange(lo, min(lo + _GREEDY_CHUNK, space), dtype=dtype))
+                    for lo in range(0, space, _GREEDY_CHUNK)
+                ]
+            )
+            index = _feistel_inverse(survivors.astype(np.uint64), (n * n + 1) // 2, _stream_keys(seed, 0))
+            accept_in_order(survivors[np.argsort(index, kind="stable")])
+            examined = space
+            break
+        accept_in_order(vals)
         if len(accepted) == max_codes or examined >= budget:
             break
 

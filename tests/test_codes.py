@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vttag import codes
 from vttag.codes import (
     TagCode,
     TagFamily,
@@ -21,8 +22,11 @@ from vttag.codes import (
     _GREEDY_CHUNK,
     _TABU_BATCHES,
     _candidate_stream,
+    _feistel_batch,
+    _feistel_inverse,
     _rotate_packed,
     _rotation_tables,
+    _stream_keys,
 )
 from vttag.errors import GenerationExhausted
 
@@ -257,7 +261,8 @@ def _reference_generate_family(n, d_min, max_codes, seed, budget=2_000_000):
 
 
 # (n, d_min, max_codes, seed, budget): greedy-only, budget cuts inside the
-# greedy pass, and swap-phase runs
+# greedy pass, and swap-phase runs; the last one ends the greedy pass of
+# 2**25 codes with the finish
 ORACLE_CASES = [
     (3, 3, 5, 0, 1000),
     (4, 5, 20, 1, 2_000_000),
@@ -267,6 +272,7 @@ ORACLE_CASES = [
     (4, 7, 8, 0, 2_000_000),
     (5, 9, 30, 42, 2_000_000),
     (5, 9, 30, 42, 150_001),
+    (5, 10, 22, 0, 2**25 + 300_000),
 ]
 
 
@@ -295,6 +301,54 @@ def test_candidate_stream_is_independent_of_batch(n, indices):
         return np.concatenate(list(arrays))
 
     np.testing.assert_array_equal(stream(_BATCH), stream(_GREEDY_CHUNK))
+
+
+@pytest.mark.parametrize("sweep", [0, 2])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_feistel_inverse_undoes_the_permutation(n, sweep):
+    half = (n * n + 1) // 2
+    keys = _stream_keys(5, sweep)
+    idx = np.random.default_rng(n).integers(0, 1 << (2 * half), 1 << 14, dtype=np.uint64)
+    np.testing.assert_array_equal(_feistel_inverse(_feistel_batch(idx, half, keys), half, keys), idx)
+    # every in-range value, in slices small enough to stay in cache
+    for lo in range(0, 1 << (n * n), _GREEDY_CHUNK):
+        vals = np.arange(lo, min(lo + _GREEDY_CHUNK, 1 << (n * n)), dtype=np.uint64)
+        assert (_feistel_batch(_feistel_inverse(vals, half, keys), half, keys) == vals).all()
+
+
+@pytest.mark.parametrize(
+    "case, finishes",
+    [((5, 10, 22, 0, 2**25 + 300_000), 1), ((5, 9, 30, 42, 2_000_000), 0)],
+    ids=str,
+)
+def test_greedy_finish_runs_once_past_the_walked_prefix(monkeypatch, case, finishes):
+    # the finish runs only when the budget covers every code, at most once
+    # per call, and takes only codes the walk has not passed
+    n, d_min, count, seed, budget = case
+    survivor_index = []
+    walked = []  # the chunks of the greedy walk
+
+    def inverse(vals, half_bits, keys):
+        assert not survivor_index, "the finish ran twice"
+        survivor_index.append(_feistel_inverse(vals, half_bits, keys))
+        return survivor_index[-1]
+
+    def stream(n, seed, sweep=0, batch=_BATCH):
+        for vals in _candidate_stream(n, seed, sweep, batch):
+            if sweep == 0:
+                walked.append(vals)
+            yield vals
+
+    monkeypatch.setattr(codes, "_feistel_inverse", inverse)
+    monkeypatch.setattr(codes, "_candidate_stream", stream)
+    generate_family(n, d_min, count, seed=seed, budget=budget)
+    assert len(survivor_index) == finishes
+    if finishes:
+        # the walk stops at the end of the chunk it last drew
+        half = (n * n + 1) // 2
+        last = int(_feistel_inverse(walked[-1].astype(np.uint64), half, _stream_keys(seed, 0)).max())
+        prefix_end = (last // _GREEDY_CHUNK + 1) * _GREEDY_CHUNK
+        assert survivor_index[0].size and survivor_index[0].min() >= prefix_end
 
 
 @pytest.fixture(scope="module")
