@@ -252,6 +252,56 @@ def _candidate_stream(n: int, seed: int, sweep: int = 0, batch: int = _BATCH):
             yield vals
 
 
+# High halves per block of _clear_codes: its two working bitmaps hold this
+# many packed rows, not the whole code space.
+_SCREEN_BLOCK = 256
+
+
+def _clear_codes(nbits: int, d_min: int, centres: np.ndarray) -> np.ndarray:
+    """Every nbits-bit code at least d_min from each of centres, in increasing order.
+
+    A code v splits into a low half of nbits // 2 bits and a high half, and
+    its distance to a centre c is the sum of the halves' distances. So v is
+    clear of c iff popcount(lo(v) ^ lo(c)) >= d_min - k, where k is
+    popcount(hi(v) ^ hi(c)). Each centre gets one packed bit row over all
+    low halves per k in 0 ... high bits: the low halves at least d_min - k
+    from its own. Each high half takes the row of its k for every centre,
+    and the AND of those rows marks its clear codes. Returns them in the
+    dtype of centres.
+    """
+    dtype = centres.dtype.type
+    lo_bits = nbits // 2
+    hi_bits = nbits - lo_bits
+    span = 1 << lo_bits
+    lows = np.arange(max(span, 64))  # row bits: every low half, padded to a whole word
+    words = lows.size // 64
+    # rows[i, k]: the low halves at least d_min - k from the low half of centre i
+    rows = np.empty((centres.size, hi_bits + 1, words), dtype=np.uint64)
+    wanted = d_min - np.arange(hi_bits + 1)[:, None]
+    for row, c in zip(rows, (centres & dtype(span - 1)).astype(np.intp)):
+        far = np.bitwise_count(lows ^ c) >= wanted
+        row.view(np.uint8)[:] = np.packbits(far, axis=1, bitorder="little")
+    centre_his = centres >> dtype(lo_bits)
+    every_low = np.packbits(lows < span, bitorder="little").view(np.uint64)  # zero padding
+    bitmaps = np.empty((2, min(_SCREEN_BLOCK, 1 << hi_bits), words), dtype=np.uint64)
+    out = []
+    for start in range(0, 1 << hi_bits, _SCREEN_BLOCK):
+        his = np.arange(start, min(start + _SCREEN_BLOCK, 1 << hi_bits), dtype=dtype)
+        acc, picked = bitmaps[:, : his.size]
+        acc[:] = every_low
+        for row, k in zip(rows, np.bitwise_count(centre_his[:, None] ^ his)):
+            # k is always in range; mode="raise" would copy through a buffer
+            acc &= np.take(row, k, axis=0, out=picked, mode="clip")
+        # read the set bits off the nonzero words only
+        flat = acc.reshape(-1)
+        hit = np.flatnonzero(flat)
+        bits = np.unpackbits(flat[hit].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        word, bit = np.nonzero(bits)
+        at = hit[word]
+        out.append((his[at // words] << dtype(lo_bits)) | (at % words * 64 + bit).astype(dtype))
+    return np.concatenate(out)
+
+
 # Batches for which a code swapped into the family cannot be swapped out again.
 _TABU_BATCHES = 32
 
@@ -277,19 +327,26 @@ def generate_family(
     codes one code at a time, tests only the survivors for admissibility,
     then accepts the first survivor and re-screens the rest against it.
 
-    Finish: once a chunk screens out entirely and budget covers all 2^(n*n)
-    codes, the pass screens every code in natural order instead, sorts the
-    survivors by their index in the permutation (_feistel_inverse) and
-    accepts them as above; it then counts all 2^(n*n) codes as examined.
-    This is exact. The family only grows, so a survivor was also clear
-    when the walk passed it and would have been accepted: every survivor
-    lies beyond the walked prefix. Every code the walk could still accept
-    is a survivor, so taking them in permutation order, with the
-    re-screen, is the rest of the walk. With that budget the walk cannot
-    be cut, and it would have examined every code. The finish saves the
-    Feistel evaluation of the rest of the permutation and the discard of
-    its out-of-range half, and it runs at most once, since the pass ends
-    after it.
+    Finish: once a chunk screens out entirely, some code has been accepted
+    and budget covers all 2^(n*n) codes, the pass screens every code in
+    natural order instead, sorts the survivors by their index in the
+    permutation (_feistel_inverse) and accepts them as above; it then
+    counts all 2^(n*n) codes as examined. This is exact. The family only
+    grows, so a survivor was also clear when the walk passed it and would
+    have been accepted: every survivor lies beyond the walked prefix.
+    Every code the walk could still accept is a survivor, so taking them
+    in permutation order, with the re-screen, is the rest of the walk.
+    With that budget the walk cannot be cut, and it would have examined
+    every code. The finish saves the Feistel evaluation of the rest of the
+    permutation and the discard of its out-of-range half, and it runs at
+    most once, since the pass ends after it. Its screen (_clear_codes)
+    splits each code into a low and a high half. The distance to a
+    rotation of an accepted code is the sum of the halves' distances, so
+    for each high half the codes clear of that rotation are one packed row
+    over the low halves, picked by the high halves' distance. That is an
+    integer identity, so the screen keeps exactly the codes a chain of
+    clear_of calls keeps. With no code accepted every code would be clear,
+    so the pass walks on instead.
 
     Swap phase: if the greedy pass walks the whole permutation without
     reaching max_codes, the family is maximal, so the search walks further
@@ -369,15 +426,11 @@ def generate_family(
         vals = vals[: budget - examined].astype(dtype)
         examined += vals.size
         vals = screen(vals)
-        if vals.size == 0 and budget >= space:
+        if vals.size == 0 and budget >= space and accepted:
             # finish: the walk can no longer be cut, and only codes still
             # clear now can be accepted later, so take those in walk order
-            survivors = np.concatenate(
-                [
-                    screen(np.arange(lo, min(lo + _GREEDY_CHUNK, space), dtype=dtype))
-                    for lo in range(0, space, _GREEDY_CHUNK)
-                ]
-            )
+            survivors = _clear_codes(n * n, d_min, np.array(greedy_rots, dtype=dtype).reshape(-1))
+            survivors = survivors[admissible(survivors)]
             index = _feistel_inverse(survivors.astype(np.uint64), (n * n + 1) // 2, _stream_keys(seed, 0))
             accept_in_order(survivors[np.argsort(index, kind="stable")])
             examined = space

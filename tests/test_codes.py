@@ -22,6 +22,7 @@ from vttag.codes import (
     _GREEDY_CHUNK,
     _TABU_BATCHES,
     _candidate_stream,
+    _clear_codes,
     _feistel_batch,
     _feistel_inverse,
     _rotate_packed,
@@ -349,6 +350,71 @@ def test_greedy_finish_runs_once_past_the_walked_prefix(monkeypatch, case, finis
         last = int(_feistel_inverse(walked[-1].astype(np.uint64), half, _stream_keys(seed, 0)).max())
         prefix_end = (last // _GREEDY_CHUNK + 1) * _GREEDY_CHUNK
         assert survivor_index[0].size and survivor_index[0].min() >= prefix_end
+
+
+def test_greedy_finish_needs_an_accepted_code(monkeypatch):
+    # no n = 4 code lies 11 from its own rotations, so the only chunk screens
+    # out with nothing accepted; a finish would find every code clear
+    def screen(*args):
+        pytest.fail("the finish ran with no code accepted")
+
+    monkeypatch.setattr(codes, "_clear_codes", screen)
+    with pytest.raises(GenerationExhausted):
+        generate_family(4, 11, 1, seed=0, budget=2**17)
+
+
+def _clear_of_chain(values, d_min, centres):
+    """The brute-force screen: the values at least d_min from each centre in turn."""
+    for c in centres:
+        values = values[np.bitwise_count(values ^ c) >= d_min]
+    return values
+
+
+def _with_rotations(n, codes_):
+    """The four quarter turns of each code, as one array of centres."""
+    tables = _rotation_tables(n).astype(codes_.dtype)
+    turns = [codes_]
+    for _ in range(3):
+        turns.append(_rotate_packed(turns[-1], tables))
+    return np.concatenate(turns)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_clear_codes_matches_brute_force(n):
+    # every code; d_min = n*n + 1 leaves every row empty and nothing clear;
+    # n = 2 and 3 pad their rows to a word
+    every = np.arange(1 << (n * n), dtype=np.uint32)
+    rng = np.random.default_rng(n)
+    for d_min in range(1, n * n + 2):
+        for count in (0, 1, 3):
+            centres = _with_rotations(n, rng.integers(0, 1 << (n * n), count).astype(np.uint32))
+            got = _clear_codes(n * n, d_min, centres)
+            assert got.dtype == np.uint32
+            np.testing.assert_array_equal(got, _clear_of_chain(every, d_min, centres))
+
+
+def test_clear_codes_matches_chunked_screen_n5():
+    # the greedy finish's former screen: 2**16-code chunks in natural order
+    centres = _with_rotations(5, np.random.default_rng(5).integers(0, 1 << 25, 15).astype(np.uint32))
+    chunks = [np.arange(lo, lo + (1 << 16), dtype=np.uint32) for lo in range(0, 1 << 25, 1 << 16)]
+    expected = np.concatenate([_clear_of_chain(chunk, 10, centres) for chunk in chunks])
+    assert expected.size
+    np.testing.assert_array_equal(_clear_codes(25, 10, centres), expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_clear_codes_ends_land_in_place(n):
+    # the lowest and highest codes come out first and last, so the bit
+    # order of the packed rows matches the code values
+    top = (1 << (n * n)) - 1
+    one_centre = np.array([0], dtype=np.uint32)
+    both_ends = np.array([0, top], dtype=np.uint32)
+    got = _clear_codes(n * n, 1, one_centre)
+    assert (got[0], got[-1], got.size) == (1, top, top)
+    got = _clear_codes(n * n, 2, both_ends)
+    assert (got[0], got[-1]) == (0b11, top ^ 0b11)
+    got = _clear_codes(n * n, 1, np.array([top], dtype=np.uint32))
+    assert (got[0], got[-1], got.size) == (0, top - 1, top)
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from vttag.codes import generate_family, rotate90
+from vttag.codes import generate_family
 from vttag.detector import (
-    Detection,
-    DetectorParams,
     _fit_quad_corners,
     _outer_boundary,
     _window_areas,

@@ -11,7 +11,6 @@ from vttag.detector import Detection, Quad
 from vttag.errors import DegenerateProjection
 from vttag.imaging import CameraModel
 from vttag.localization import (
-    FusedPose,
     PlanarPose,
     PoseEstimate,
     detection_weight,
