@@ -10,7 +10,8 @@ exposed; only a zero-latency mimic survives, which the protocol reports
 as ambiguous rather than guessing.
 
 All step functions are pure: state in, state out, plus outbound messages
-and effects. Agents never share mutable state.
+and log events. Agents never share mutable state, and each agent's state
+is the only record of what its screen shows (bus_screen reads the bus's).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "RsuState",
     "AttackerStrategy",
     "AttackerState",
-    "DisplayCommand",
     "SyncVerdict",
     "BusStepResult",
     "RsuStepResult",
@@ -42,6 +42,7 @@ __all__ = [
     "detect_confusion",
     "resolve_sync",
     "make_bus_state",
+    "bus_screen",
     "bus_step",
     "rsu_step",
     "attacker_step",
@@ -128,9 +129,7 @@ class BusPhase(enum.Enum):
     IDLE = "IDLE"
     APPROACHING = "APPROACHING"
     LOCALIZING = "LOCALIZING"
-    CHALLENGING = "CHALLENGING"
     SYNC_WAIT = "SYNC_WAIT"
-    RESOLVED = "RESOLVED"
     FAILED = "FAILED"
     LEAVING = "LEAVING"
 
@@ -147,8 +146,7 @@ class BusState:
     phase: BusPhase = BusPhase.IDLE
     displayed_code: int = 0  # what the screen shows *now*
     round: int = 0
-    appointed_t: Optional[int] = None
-    pending_display: Optional[int] = None  # switches onto the screen at appointed_t
+    pending_display: Optional[tuple] = None  # (code, apply_at tick)
     code_pool: tuple = ()
     pending_acks: tuple = ()
     resolved_tick: Optional[int] = None  # first tick a challenge resolved
@@ -188,15 +186,6 @@ class AttackerState:
     def __post_init__(self):
         if self.reaction_latency < 0:
             raise ValueError("reaction_latency must be >= 0")
-
-
-@dataclass(frozen=True)
-class DisplayCommand:
-    """Scheduled display switch; takes effect at the start of apply_at."""
-
-    agent: str
-    code_index: int
-    apply_at: int
 
 
 @dataclass(frozen=True)
@@ -243,7 +232,6 @@ class SyncVerdict:
 class BusStepResult:
     state: BusState
     outbound: tuple  # ProtocolMessage
-    display: tuple  # DisplayCommand
     events: tuple  # (name, detail dict) pairs for the log
 
 
@@ -316,13 +304,24 @@ def make_bus_state(
     return BusState(displayed_code=initial_code, code_pool=tuple(pool))
 
 
+def bus_screen(state: BusState, now: int) -> int:
+    """The code the bus shows during tick now, before bus_step(now) runs.
+
+    A challenge code is on the screen from the start of its appointed
+    tick, so the frames captured in that tick already show it.
+    """
+    if state.pending_display is not None and now >= state.pending_display[1]:
+        return state.pending_display[0]
+    return state.displayed_code
+
+
 def _challenge(
     state: BusState, now: int, config: ProtocolConfig, events: list
-) -> tuple[BusState, list, list]:
+) -> tuple[BusState, list]:
     """Issue a TAG_UPDATE + SYNC_APPOINT pair for the next round."""
     if not state.code_pool:
         events.append(("code_pool_exhausted", {"tick": now}))
-        return replace(state, phase=BusPhase.FAILED), [], []
+        return replace(state, phase=BusPhase.FAILED), []
     new_code = state.code_pool[0]
     rnd = state.round + 1
     t_act = now + config.delta_sync
@@ -346,21 +345,19 @@ def _challenge(
                 {"t_act": t_act, "round": rnd},
             )
         )
-    display = [DisplayCommand(config.bus_id, new_code, t_act)]
-    events.append(("phase", {"tick": now, "phase": BusPhase.CHALLENGING.value}))
     events.append(
         ("challenge", {"tick": now, "round": rnd, "new_code": new_code, "t_act": t_act})
     )
+    if state.phase is not BusPhase.SYNC_WAIT:  # a retry round is already in it
+        events.append(("phase", {"tick": now, "phase": BusPhase.SYNC_WAIT.value}))
     nxt = replace(
         state,
         phase=BusPhase.SYNC_WAIT,
         round=rnd,
-        appointed_t=t_act,
-        pending_display=new_code,  # hits the screen at t_act via the command
+        pending_display=(new_code, t_act),
         code_pool=state.code_pool[1:],
     )
-    events.append(("phase", {"tick": now, "phase": BusPhase.SYNC_WAIT.value}))
-    return nxt, out, display
+    return nxt, out
 
 
 def bus_step(
@@ -377,12 +374,11 @@ def bus_step(
     """
     events: list = []
     out: list = []
-    display: list = []
     st = state
 
     # the scheduled challenge code reaches the physical screen at t_act
-    if st.pending_display is not None and st.appointed_t is not None and now >= st.appointed_t:
-        st = replace(st, displayed_code=st.pending_display, pending_display=None)
+    if st.pending_display is not None and now >= st.pending_display[1]:
+        st = replace(st, displayed_code=st.pending_display[0], pending_display=None)
         events.append(
             ("display_switched", {"tick": now, "code": st.displayed_code})
         )
@@ -438,9 +434,8 @@ def bus_step(
                     )
                 )
                 if st.resolved_tick is None:
-                    st, more_out, more_disp = _challenge(st, now, config, events)
+                    st, more_out = _challenge(st, now, config, events)
                     out.extend(more_out)
-                    display.extend(more_disp)
                 # once a challenge has singled the bus out, later alerts
                 # (the laggard mimic catching up again) change nothing:
                 # the impostor is already identified and the round counter
@@ -468,13 +463,9 @@ def bus_step(
                 st = replace(
                     st,
                     phase=BusPhase.LOCALIZING,
-                    appointed_t=None,
                     resolved_tick=st.resolved_tick
                     if st.resolved_tick is not None
                     else now,
-                )
-                events.append(
-                    ("phase", {"tick": now, "phase": BusPhase.RESOLVED.value})
                 )
                 events.append(
                     ("phase", {"tick": now, "phase": BusPhase.LOCALIZING.value})
@@ -490,11 +481,10 @@ def bus_step(
                     )
                 )
                 if st.round < config.max_rounds:
-                    st, more_out, more_disp = _challenge(st, now, config, events)
+                    st, more_out = _challenge(st, now, config, events)
                     out.extend(more_out)
-                    display.extend(more_disp)
                 else:
-                    st = replace(st, phase=BusPhase.FAILED, appointed_t=None)
+                    st = replace(st, phase=BusPhase.FAILED)
                     events.append(
                         ("phase", {"tick": now, "phase": BusPhase.FAILED.value})
                     )
@@ -528,9 +518,7 @@ def bus_step(
         st = replace(st, phase=BusPhase.LEAVING)
         events.append(("phase", {"tick": now, "phase": BusPhase.LEAVING.value}))
 
-    return BusStepResult(
-        state=st, outbound=tuple(out), display=tuple(display), events=tuple(events)
-    )
+    return BusStepResult(state=st, outbound=tuple(out), events=tuple(events))
 
 
 def rsu_step(
@@ -617,8 +605,20 @@ def rsu_step(
             st.pending_new_code if verdict.kind == "unique" else st.client_code
         )
         st = RsuState(phase=RsuPhase.ACTIVE, client_code=new_client)
-    elif st.phase is RsuPhase.SYNC_ARMED and st.pending_t_act is not None and now > st.pending_t_act:
-        # missed the instant (should not happen in-sim); disarm
+    elif st.phase is RsuPhase.SYNC_ARMED and now > st.pending_t_act:
+        # the appointment arrived after its instant (network latency above
+        # delta_sync): no frame of t_act is left to judge, so disarm
+        events.append(
+            (
+                "sync_missed",
+                {
+                    "tick": now,
+                    "rsu": rsu_id,
+                    "t_act": st.pending_t_act,
+                    "round": st.pending_round,
+                },
+            )
+        )
         st = RsuState(phase=RsuPhase.ACTIVE, client_code=st.client_code)
 
     if st.phase in (RsuPhase.ACTIVE, RsuPhase.SYNC_ARMED) and st.client_code is not None:

@@ -6,10 +6,11 @@ a latent and optionally lossy channel, and distills an event log plus
 metrics. Everything is a pure function of the scenario config: all
 randomness flows from config.seed through counter-based generators.
 
-Tick order: scheduled display switches apply first, then attackers react
-(so a zero-latency mimic really is on-screen simultaneously), then every
-camera captures and detects, then messages due this tick are delivered
-and the RSU and bus state machines step.
+Tick order: attackers react first to what the bus shows this tick (so a
+zero-latency mimic really is on-screen simultaneously), then every camera
+captures and detects, then messages due this tick are delivered and the
+RSU and bus state machines step. Each screen is read from its agent's
+state.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .protocol import (
     ProtocolMessage,
     RsuState,
     attacker_step,
+    bus_screen,
     bus_step,
     make_bus_state,
     rsu_step,
@@ -419,9 +421,6 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
         for a in config.attackers
     }
     channel = Channel(config.network.latency, config.network.drop, config.seed)
-    screens = {config.bus.id: config.bus.initial_code}
-    screens.update({a.id: a.initial_code for a in config.attackers})
-    display_schedule: list = []
 
     events: list = []
     truth: list = []
@@ -430,41 +429,32 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
         events.append(_jsonable_event(tick, name, detail))
 
     for t in range(config.ticks):
-        # 1. scheduled display switches take effect at the start of the tick
-        for cmd in [c for c in display_schedule if c.apply_at == t]:
-            screens[cmd.agent] = cmd.code_index
-            log(t, "display_switch", {"agent": cmd.agent, "code": cmd.code_index})
-        display_schedule = [c for c in display_schedule if c.apply_at > t]
-
-        # 2. advance ground-truth poses
+        # 1. the bus's ground-truth pose, and its screen: a challenge code
+        #    due this tick is already showing
         bus_pose = config.bus.trajectory.at(t)
-        atk_poses = {a.id: a.trajectory.at(t) for a in config.attackers}
+        bus_code = bus_screen(bus_state, t)
 
-        # 3. attackers react to what is on the bus screen right now, so a
+        # 2. attackers react to what is on the bus screen right now, so a
         #    zero-latency mimic is already switched when the frames below
         #    are captured ("simultaneous" = same tick)
         for a in config.attackers:
-            seen = screens[config.bus.id] if a.line_of_sight else None
+            seen = bus_code if a.line_of_sight else None
             res = attacker_step(atk_states[a.id], seen, t)
             atk_states[a.id] = res.state
-            screens[a.id] = res.state.displayed_code
             for name, detail in res.events:
                 log(t, name, {**detail, "agent": a.id})
 
-        # 4. render + detect per RSU
+        # 3. render + detect per RSU
         placed = []
         entity_tag_world = {}
-        owner = []
-        specs = [(config.bus.id, config.bus, bus_pose)] + [
-            (a.id, a, atk_poses[a.id]) for a in config.attackers
+        specs = [(config.bus.id, config.bus, bus_pose, bus_code)] + [
+            (a.id, a, a.trajectory.at(t), atk_states[a.id].displayed_code)
+            for a in config.attackers
         ]
-        for eid, spec, planar in specs:
+        for eid, spec, planar, code in specs:
             world = planar_to_world(planar.x, planar.y, planar.yaw) @ spec.mount
-            placed.append(
-                PlacedTag(index=screens[eid], tag_size=spec.tag_size, pose=world)
-            )
+            placed.append(PlacedTag(index=code, tag_size=spec.tag_size, pose=world))
             entity_tag_world[eid] = world.translation
-            owner.append(eid)
 
         frames = {}
         for ri, rsu in enumerate(config.rsus):
@@ -482,7 +472,7 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
                 img, rsu.camera, family, config.bus.tag_size, config.detector
             )
 
-        # 5. deliver messages due this tick
+        # 4. deliver messages due this tick
         inboxes: dict = {}
         for msg in channel.deliver(t):
             inboxes.setdefault(msg.receiver, []).append(msg)
@@ -500,7 +490,7 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
                     },
                 )
 
-        # 6. RSU state machines
+        # 5. RSU state machines
         for rsu in config.rsus:
             cam = rsu.camera
 
@@ -540,10 +530,9 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
                         log(t, "attacker_accepted", {"rsu": rsu.id, "entity": best})
             post(res.outbound, t)
 
-        # 7. bus state machine
+        # 6. bus state machine
         bres = bus_step(bus_state, inboxes.get(config.bus.id, ()), t, proto_cfg)
         bus_state = bres.state
-        display_schedule.extend(bres.display)
         for name, detail in bres.events:
             log(t, name, detail)
         post(bres.outbound, t)
@@ -552,8 +541,10 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
             {
                 "tick": t,
                 "bus_pose": bus_pose.to_json_dict(),
-                "bus_screen": screens[config.bus.id],
-                "attacker_screens": {a.id: screens[a.id] for a in config.attackers},
+                "bus_screen": bus_code,
+                "attacker_screens": {
+                    a.id: atk_states[a.id].displayed_code for a in config.attackers
+                },
                 "detections": {
                     rid: [d.code_index for d in dets] for rid, dets in frames.items()
                 },

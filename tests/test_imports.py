@@ -1,8 +1,10 @@
-"""Every name the package and its tests import is used where it is imported."""
+"""Every name the package and its tests import is used where it is imported,
+and every name a package module exports in __all__ is bound there."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -50,6 +52,14 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in (ROOT / "src" / "vttag").glob("*.py"))
+)
+def test_all_names_are_bound(module):
+    mod = importlib.import_module("vttag" if module == "__init__" else f"vttag.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_unused_import_check_honours_its_exemptions():

@@ -17,6 +17,7 @@ from vttag.protocol import (
     RsuState,
     SyncVerdict,
     attacker_step,
+    bus_screen,
     bus_step,
     detect_confusion,
     make_bus_state,
@@ -153,8 +154,10 @@ class TestBusBasics:
         assert res.state.phase is BusPhase.SYNC_WAIT
         assert res.state.round == 1
         # the screen still shows the old code until t_act
+        t_act = appoint.payload["t_act"]
         assert res.state.displayed_code == 0
-        assert res.display[0].apply_at == appoint.payload["t_act"]
+        assert bus_screen(res.state, t_act - 1) == 0
+        assert bus_screen(res.state, t_act) == upd.payload["new_code"]
 
     def test_stale_sync_result_ignored(self):
         bus = bus_step(make_bus_state(0, 30, seed=1), [], 0, CFG).state
@@ -270,13 +273,9 @@ def run_session(latency: int, max_ticks: int = 60):
     atk = AttackerState(AttackerStrategy.FOLLOWER, displayed_code=2,
                         reaction_latency=latency)
     pending = []  # (deliver_at, message)
-    screen = 2
-    sched = []
     events = []
     for t in range(max_ticks):
-        for cmd in [c for c in sched if c.apply_at == t]:
-            screen = cmd.code_index
-        sched = [c for c in sched if c.apply_at > t]
+        screen = bus_screen(bus, t)
         atk = attacker_step(atk, screen, t).state
         frame = [fake_det(screen, x=0.0), fake_det(atk.displayed_code, x=2.0)]
         inbox_b = [m for d, m in pending if d == t and m.receiver == "bus"]
@@ -286,7 +285,6 @@ def run_session(latency: int, max_ticks: int = 60):
         rsu = rres.state
         bres = bus_step(bus, inbox_b, t, cfg)
         bus = bres.state
-        sched += list(bres.display)
         for m in list(rres.outbound) + list(bres.outbound):
             pending.append((t + 1, m))
         events += [(t, name, detail) for name, detail in rres.events + bres.events]
