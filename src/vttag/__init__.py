@@ -41,7 +41,6 @@ from .protocol import (
     MsgKind,
     ProtocolConfig,
     ProtocolMessage,
-    RsuPhase,
     RsuState,
     SyncVerdict,
     attacker_step,
@@ -83,7 +82,6 @@ __all__ = [
     "ProtocolConfig",
     "BusPhase",
     "BusState",
-    "RsuPhase",
     "RsuState",
     "AttackerStrategy",
     "AttackerState",

@@ -9,9 +9,15 @@ one tick to react is still showing the old code at that instant and is
 exposed; only a zero-latency mimic survives, which the protocol reports
 as ambiguous rather than guessing.
 
+An RSU's state is the code it tracks (None while idle) and at most one
+pending challenge, (new_code, round, t_act): TAG_UPDATE sets the code
+and round, SYNC_APPOINT the instant t_act, which arms the RSU to judge
+its frame of that tick.
+
 All step functions are pure: state in, state out, plus outbound messages
-and log events. Agents never share mutable state, and each agent's state
-is the only record of what its screen shows (bus_screen reads the bus's).
+and log events, returned as one StepResult. Agents never share mutable
+state, and each agent's state is the only record of what its screen
+shows (bus_screen reads the bus's).
 """
 
 from __future__ import annotations
@@ -31,14 +37,11 @@ __all__ = [
     "ProtocolConfig",
     "BusPhase",
     "BusState",
-    "RsuPhase",
     "RsuState",
     "AttackerStrategy",
     "AttackerState",
     "SyncVerdict",
-    "BusStepResult",
-    "RsuStepResult",
-    "AttackerStepResult",
+    "StepResult",
     "detect_confusion",
     "resolve_sync",
     "make_bus_state",
@@ -152,23 +155,18 @@ class BusState:
     resolved_tick: Optional[int] = None  # first tick a challenge resolved
 
 
-class RsuPhase(enum.Enum):
-    IDLE = "IDLE"
-    ACTIVE = "ACTIVE"
-    SYNC_ARMED = "SYNC_ARMED"
-
-
 @dataclass(frozen=True)
 class RsuState:
-    phase: RsuPhase = RsuPhase.IDLE
-    client_code: Optional[int] = None
-    pending_t_act: Optional[int] = None
-    pending_new_code: Optional[int] = None
-    pending_round: Optional[int] = None
+    """Pure RSU state.
 
-    def __post_init__(self):
-        if self.phase is RsuPhase.SYNC_ARMED and self.pending_t_act is None:
-            raise ValueError("SYNC_ARMED requires pending_t_act")
+    client_code is the code of the tag the RSU tracks for the bus; None
+    means the RSU is idle. pending is the challenge round in progress, as
+    (new_code, round, t_act); t_act stays None until that round's
+    SYNC_APPOINT arrives, and a set t_act arms the RSU.
+    """
+
+    client_code: Optional[int] = None
+    pending: Optional[tuple] = None  # (new_code, round, t_act tick or None)
 
 
 class AttackerStrategy(enum.Enum):
@@ -229,23 +227,12 @@ class SyncVerdict:
 
 
 @dataclass(frozen=True)
-class BusStepResult:
-    state: BusState
-    outbound: tuple  # ProtocolMessage
+class StepResult:
+    """One agent's tick: its next state, what it sends, what it logs."""
+
+    state: object  # BusState, RsuState or AttackerState
+    outbound: tuple  # ProtocolMessage; attackers send none
     events: tuple  # (name, detail dict) pairs for the log
-
-
-@dataclass(frozen=True)
-class RsuStepResult:
-    state: RsuState
-    outbound: tuple
-    events: tuple
-
-
-@dataclass(frozen=True)
-class AttackerStepResult:
-    state: AttackerState
-    events: tuple
 
 
 def detect_confusion(
@@ -261,31 +248,27 @@ def detect_confusion(
 
 def resolve_sync(
     frame_at_t_act: Sequence[Detection], new_code: int
-) -> tuple[SyncVerdict, Optional[Detection]]:
+) -> SyncVerdict:
     """Judge a challenge frame: who actually switched to new_code?
 
-    Exactly one matching detection -> ("unique", that detection);
-    several -> ambiguous; none -> absent. The caller supplies the frame
-    captured exactly at the appointed tick.
+    Exactly one matching detection -> unique, with that detection's tag
+    position and reprojection error; several -> ambiguous; none -> absent.
+    The caller supplies the frame captured exactly at the appointed tick.
     """
     matching = [d for d in frame_at_t_act if d.code_index == new_code]
     others = len(frame_at_t_act) - len(matching)
     if len(matching) == 1:
         det = matching[0]
-        center = det.pose.translation
-        return (
-            SyncVerdict(
-                kind="unique",
-                count=1,
-                impostors=others,
-                tag_xyz=tuple(float(v) for v in center),
-                reproj_err=float(det.reproj_err),
-            ),
-            det,
+        return SyncVerdict(
+            kind="unique",
+            count=1,
+            impostors=others,
+            tag_xyz=tuple(float(v) for v in det.pose.translation),
+            reproj_err=float(det.reproj_err),
         )
     if len(matching) >= 2:
-        return SyncVerdict(kind="ambiguous", count=len(matching), impostors=others), None
-    return SyncVerdict(kind="absent", count=0, impostors=others), None
+        return SyncVerdict(kind="ambiguous", count=len(matching), impostors=others)
+    return SyncVerdict(kind="absent", count=0, impostors=others)
 
 
 def make_bus_state(
@@ -321,6 +304,7 @@ def _challenge(
     """Issue a TAG_UPDATE + SYNC_APPOINT pair for the next round."""
     if not state.code_pool:
         events.append(("code_pool_exhausted", {"tick": now}))
+        events.append(("phase", {"tick": now, "phase": BusPhase.FAILED.value}))
         return replace(state, phase=BusPhase.FAILED), []
     new_code = state.code_pool[0]
     rnd = state.round + 1
@@ -365,7 +349,7 @@ def bus_step(
     inbox: Sequence[ProtocolMessage],
     now: int,
     config: ProtocolConfig,
-) -> BusStepResult:
+) -> StepResult:
     """One tick of the bus state machine.
 
     Enter/leave triggers derive from config ticks. POSE_REPORT fusion is
@@ -518,7 +502,7 @@ def bus_step(
         st = replace(st, phase=BusPhase.LEAVING)
         events.append(("phase", {"tick": now, "phase": BusPhase.LEAVING.value}))
 
-    return BusStepResult(state=st, outbound=tuple(out), events=tuple(events))
+    return StepResult(state=st, outbound=tuple(out), events=tuple(events))
 
 
 def rsu_step(
@@ -529,7 +513,7 @@ def rsu_step(
     rsu_id: str,
     bus_id: str,
     estimate_fn=None,
-) -> RsuStepResult:
+) -> StepResult:
     """One tick of an RSU state machine.
 
     frame holds this tick's detections from the RSU's own camera.
@@ -543,9 +527,7 @@ def rsu_step(
 
     for msg in inbox:
         if msg.kind is MsgKind.INITIATE:
-            st = RsuState(
-                phase=RsuPhase.ACTIVE, client_code=int(msg.payload["client_code"])
-            )
+            st = RsuState(client_code=int(msg.payload["client_code"]))
             out.append(ProtocolMessage(MsgKind.INITIATE_ACK, rsu_id, bus_id, now))
             events.append(("rsu_active", {"tick": now, "rsu": rsu_id}))
         elif msg.kind is MsgKind.CLOSE:
@@ -553,20 +535,17 @@ def rsu_step(
             out.append(ProtocolMessage(MsgKind.CLOSE_ACK, rsu_id, bus_id, now))
             events.append(("rsu_idle", {"tick": now, "rsu": rsu_id}))
         elif msg.kind is MsgKind.TAG_UPDATE:
-            if st.phase is RsuPhase.IDLE:
+            if st.client_code is None:
                 continue
-            st = replace(
-                st,
-                pending_new_code=int(msg.payload["new_code"]),
-                pending_round=int(msg.payload["round"]),
-            )
+            # an update while armed replaces the code and round, not t_act
+            t_act = st.pending[2] if st.pending is not None else None
+            rnd = int(msg.payload["round"])
+            st = replace(st, pending=(int(msg.payload["new_code"]), rnd, t_act))
         elif msg.kind is MsgKind.SYNC_APPOINT:
-            if st.phase is RsuPhase.IDLE:
+            if st.client_code is None:
                 continue
-            if (
-                st.pending_new_code is None
-                or st.pending_round != int(msg.payload["round"])
-            ):
+            rnd = int(msg.payload["round"])
+            if st.pending is None or st.pending[1] != rnd:
                 events.append(
                     (
                         "protocol_violation",
@@ -578,21 +557,18 @@ def rsu_step(
                     )
                 )
                 continue
-            st = replace(
-                st,
-                phase=RsuPhase.SYNC_ARMED,
-                pending_t_act=int(msg.payload["t_act"]),
-            )
+            st = replace(st, pending=(st.pending[0], rnd, int(msg.payload["t_act"])))
 
-    if st.phase is RsuPhase.SYNC_ARMED and now == st.pending_t_act:
-        verdict, det = resolve_sync(frame, st.pending_new_code)
+    new_code, rnd, t_act = st.pending if st.pending is not None else (None, None, None)
+    if t_act is not None and now == t_act:
+        verdict = resolve_sync(frame, new_code)
         out.append(
             ProtocolMessage(
                 MsgKind.SYNC_RESULT,
                 rsu_id,
                 bus_id,
                 now,
-                {"verdict": verdict, "round": st.pending_round},
+                {"verdict": verdict, "round": rnd},
             )
         )
         events.append(
@@ -601,27 +577,21 @@ def rsu_step(
                 {"tick": now, "rsu": rsu_id, "verdict": verdict.to_json_dict()},
             )
         )
-        new_client = (
-            st.pending_new_code if verdict.kind == "unique" else st.client_code
+        st = RsuState(
+            client_code=new_code if verdict.kind == "unique" else st.client_code
         )
-        st = RsuState(phase=RsuPhase.ACTIVE, client_code=new_client)
-    elif st.phase is RsuPhase.SYNC_ARMED and now > st.pending_t_act:
+    elif t_act is not None and now > t_act:
         # the appointment arrived after its instant (network latency above
-        # delta_sync): no frame of t_act is left to judge, so disarm
+        # delta_sync): no frame of t_act is left to judge, so drop it
         events.append(
             (
                 "sync_missed",
-                {
-                    "tick": now,
-                    "rsu": rsu_id,
-                    "t_act": st.pending_t_act,
-                    "round": st.pending_round,
-                },
+                {"tick": now, "rsu": rsu_id, "t_act": t_act, "round": rnd},
             )
         )
-        st = RsuState(phase=RsuPhase.ACTIVE, client_code=st.client_code)
+        st = RsuState(client_code=st.client_code)
 
-    if st.phase in (RsuPhase.ACTIVE, RsuPhase.SYNC_ARMED) and st.client_code is not None:
+    if st.client_code is not None:
         matching = [d for d in frame if d.code_index == st.client_code]
         if estimate_fn is not None:
             for det in matching:
@@ -652,12 +622,12 @@ def rsu_step(
                 ("confusion_detected", {"tick": now, "rsu": rsu_id, "count": count})
             )
 
-    return RsuStepResult(state=st, outbound=tuple(out), events=tuple(events))
+    return StepResult(state=st, outbound=tuple(out), events=tuple(events))
 
 
 def attacker_step(
     state: AttackerState, observed_bus_code: Optional[int], now: int
-) -> AttackerStepResult:
+) -> StepResult:
     """One tick of an attacker.
 
     STATIC never changes. FOLLOWER schedules a copy of any observed
@@ -665,7 +635,7 @@ def attacker_step(
     now reaches the scheduled tick (latency 0 applies immediately).
     """
     if state.strategy is AttackerStrategy.STATIC:
-        return AttackerStepResult(state=state, events=())
+        return StepResult(state=state, outbound=(), events=())
     st = state
     events: list = []
     if (
@@ -687,4 +657,4 @@ def attacker_step(
         code = st.pending_copy[0]
         st = replace(st, displayed_code=code, pending_copy=None)
         events.append(("attacker_copied", {"tick": now, "code": code}))
-    return AttackerStepResult(state=st, events=tuple(events))
+    return StepResult(state=st, outbound=(), events=tuple(events))

@@ -139,8 +139,10 @@ class NetworkSpec:
     drop: float = 0.0  # per-message drop probability
 
     def __post_init__(self):
-        if self.latency < 0:
-            raise ScenarioError("network latency must be >= 0")
+        # a tick's messages are delivered before its agents step, so a
+        # message due in the tick it was sent would never arrive
+        if self.latency < 1:
+            raise ScenarioError("network latency must be >= 1")
         if not 0.0 <= self.drop <= 1.0:
             raise ScenarioError("drop probability must be in [0, 1]")
 
@@ -172,6 +174,10 @@ class ScenarioConfig:
             raise ScenarioError("dt must be positive")
         if not self.rsus:
             raise ScenarioError("at least one RSU required")
+        if self.max_rounds < 1:
+            raise ScenarioError("max_rounds must be >= 1")
+        if self.delta_sync < 1:
+            raise ScenarioError("delta_sync must be >= 1")
         ids = [r.id for r in self.rsus] + [a.id for a in self.attackers] + [self.bus.id]
         if len(set(ids)) != len(ids):
             raise ScenarioError("agent ids must be unique")
@@ -254,8 +260,7 @@ class Channel:
         self._gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence([seed, 0x5E7D]))
         )
-        self._queue: list = []  # (deliver_at, seqno, message)
-        self._seq = 0
+        self._queue: list = []  # (deliver_at, message), in send order
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -267,18 +272,15 @@ class Channel:
             self.dropped += 1
             return None
         deliver_at = now + self.latency
-        self._queue.append((deliver_at, self._seq, msg))
-        self._seq += 1
+        self._queue.append((deliver_at, msg))
         return deliver_at
 
     def deliver(self, now: int) -> list:
-        """Messages due exactly now, in per-link send order."""
-        due = sorted(
-            (item for item in self._queue if item[0] == now), key=lambda it: it[1]
-        )
-        self._queue = [item for item in self._queue if item[0] != now]
+        """Messages due exactly now, in send order."""
+        due = [m for at, m in self._queue if at == now]
+        self._queue = [(at, m) for at, m in self._queue if at != now]
         self.delivered += len(due)
-        return [m for _, _, m in due]
+        return due
 
 
 @dataclass(frozen=True)

@@ -181,3 +181,17 @@ class TestSimRun:
             "sim-run", "--scenario", str(scenario), "--out", "-",
         ]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [(None, "max_rounds"), (None, "delta_sync"), ("network", "latency")],
+    )
+    def test_value_below_one_exits_1(self, tmp_path, capsys, section, key):
+        blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
+        (blob[section] if section else blob)[key] = 0
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(blob))
+        assert run_cli([
+            "sim-run", "--scenario", str(scenario), "--out", "-",
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error:")

@@ -1,5 +1,6 @@
-"""Every name the package and its tests import is used where it is imported,
-and every name a package module exports in __all__ is bound there."""
+"""Every name the package, its tests and the benchmark harness import is
+used where it is imported, and every name a package module exports in
+__all__ is bound there."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # everything an __init__.py imports is a re-export, so those files are left out
 SOURCES = sorted(
     p
-    for p in [*(ROOT / "src" / "vttag").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for d in ("src/vttag", "tests", "bench")
+    for p in (ROOT / d).glob("*.py")
     if p.name != "__init__.py"
 )
 

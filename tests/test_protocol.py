@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vttag.detector import Detection, Quad
 from vttag.protocol import (
@@ -13,7 +15,6 @@ from vttag.protocol import (
     MsgKind,
     ProtocolConfig,
     ProtocolMessage,
-    RsuPhase,
     RsuState,
     SyncVerdict,
     attacker_step,
@@ -69,21 +70,22 @@ class TestDetectConfusion:
 
 class TestResolveSync:
     def test_unique_with_laggard(self):
-        verdict, det = resolve_sync([fake_det(4), fake_det(9)], new_code=9)
+        verdict = resolve_sync([fake_det(4), fake_det(9, x=2.0)], new_code=9)
         assert verdict.kind == "unique"
         assert verdict.impostors == 1
-        assert det.code_index == 9
+        assert verdict.tag_xyz == (2.0, 0.0, 6.0)  # the matching detection's
 
     def test_ambiguous(self):
-        verdict, det = resolve_sync([fake_det(9), fake_det(9)], new_code=9)
-        assert verdict.kind == "ambiguous" and verdict.count == 2 and det is None
+        verdict = resolve_sync([fake_det(9), fake_det(9)], new_code=9)
+        assert verdict.kind == "ambiguous" and verdict.count == 2
+        assert verdict.tag_xyz is None
 
     def test_absent(self):
-        verdict, det = resolve_sync([], new_code=9)
-        assert verdict.kind == "absent" and det is None
+        verdict = resolve_sync([], new_code=9)
+        assert verdict.kind == "absent" and verdict.tag_xyz is None
 
     def test_verdict_json_round_trip(self):
-        verdict, _ = resolve_sync([fake_det(9)], new_code=9)
+        verdict = resolve_sync([fake_det(9)], new_code=9)
         assert SyncVerdict.from_json_dict(verdict.to_json_dict()) == verdict
 
 
@@ -196,18 +198,81 @@ class TestBusBasics:
         assert bus_step(bus, [], 0, CFG) == bus_step(bus, [], 0, CFG)
 
 
+VERDICT_COUNTS = {"unique": 1, "ambiguous": 2, "absent": 0}
+# (kind, sender, verdict kind, round offset); a result's round is the bus's
+# current round plus the offset, so offsets other than 0 are stale
+BUS_MESSAGE = st.tuples(
+    st.sampled_from(["ack", "alert", "result"]),
+    st.sampled_from(["r0", "r1"]),
+    st.sampled_from(sorted(VERDICT_COUNTS)),
+    st.integers(-1, 1),
+)
+
+
+def bus_inbox(drawn, bus, now):
+    msgs = []
+    for kind, sender, verdict, offset in drawn:
+        if kind == "ack":
+            msgs.append(ProtocolMessage(MsgKind.INITIATE_ACK, sender, "bus", now))
+        elif kind == "alert":
+            payload = {"code_index": bus.displayed_code, "count": 2}
+            msgs.append(
+                ProtocolMessage(MsgKind.CONFUSION_ALERT, sender, "bus", now, payload)
+            )
+        else:
+            payload = {
+                "verdict": SyncVerdict(kind=verdict, count=VERDICT_COUNTS[verdict]),
+                "round": bus.round + offset,
+            }
+            msgs.append(ProtocolMessage(MsgKind.SYNC_RESULT, sender, "bus", now, payload))
+    return msgs
+
+
+@given(
+    family_size=st.integers(1, 5),
+    max_rounds=st.integers(1, 4),
+    leave_tick=st.integers(1, 12),
+    steps=st.lists(st.lists(BUS_MESSAGE, max_size=4), max_size=12),
+)
+# a two-code family runs out of fresh codes after round 1
+@example(
+    family_size=2,
+    max_rounds=3,
+    leave_tick=12,
+    steps=[
+        [],
+        [("ack", "r0", "unique", 0), ("ack", "r1", "unique", 0)],
+        [("alert", "r0", "unique", 0)],
+        [("result", "r0", "ambiguous", 0)],
+    ],
+)
+@settings(max_examples=300, deadline=None)
+def test_one_phase_event_per_phase_change(family_size, max_rounds, leave_tick, steps):
+    cfg = ProtocolConfig(
+        bus_id="bus", rsu_ids=("r0", "r1"), enter_tick=0, leave_tick=leave_tick,
+        max_rounds=max_rounds, delta_sync=2,
+    )
+    bus = make_bus_state(0, family_size, seed=1)
+    for now, drawn in enumerate(steps):
+        res = bus_step(bus, bus_inbox(drawn, bus, now), now, cfg)
+        logged = [BusPhase(d["phase"]) for name, d in res.events if name == "phase"]
+        phases = [bus.phase] + logged
+        assert all(a is not b for a, b in zip(phases, phases[1:]))
+        assert phases[-1] is res.state.phase  # unchanged when none is logged
+        bus = res.state
+
+
 class TestRsu:
     def test_initiate_activates_and_acks(self):
         init = ProtocolMessage(
             MsgKind.INITIATE, "bus", "r0", 0, {"client_code": 4}
         )
         res = rsu_step(RsuState(), [init], [], 1, "r0", "bus")
-        assert res.state.phase is RsuPhase.ACTIVE
-        assert res.state.client_code == 4
+        assert res.state == RsuState(client_code=4)
         assert [m.kind for m in res.outbound] == [MsgKind.INITIATE_ACK]
 
     def test_active_reports_matching_detection(self):
-        st = RsuState(phase=RsuPhase.ACTIVE, client_code=4)
+        st = RsuState(client_code=4)
         calls = []
 
         def est_fn(det):
@@ -222,31 +287,31 @@ class TestRsu:
         assert len(calls) == 1 and calls[0].code_index == 4
 
     def test_confusion_alert_emitted(self):
-        st = RsuState(phase=RsuPhase.ACTIVE, client_code=4)
+        st = RsuState(client_code=4)
         res = rsu_step(st, [], [fake_det(4), fake_det(4)], 5, "r0", "bus")
         assert any(m.kind is MsgKind.CONFUSION_ALERT for m in res.outbound)
         alert = next(m for m in res.outbound if m.kind is MsgKind.CONFUSION_ALERT)
         assert alert.payload["count"] == 2
 
     def test_close_goes_idle(self):
-        st = RsuState(phase=RsuPhase.ACTIVE, client_code=4)
+        st = RsuState(client_code=4)
         close = ProtocolMessage(MsgKind.CLOSE, "bus", "r0", 9)
         res = rsu_step(st, [close], [fake_det(4)], 9, "r0", "bus")
-        assert res.state.phase is RsuPhase.IDLE
+        assert res.state == RsuState()
         kinds = [m.kind for m in res.outbound]
         assert kinds == [MsgKind.CLOSE_ACK]  # and no further POSE_REPORTs
 
     def test_sync_appoint_without_update_violation(self):
-        st = RsuState(phase=RsuPhase.ACTIVE, client_code=4)
+        st = RsuState(client_code=4)
         appoint = ProtocolMessage(
             MsgKind.SYNC_APPOINT, "bus", "r0", 3, {"t_act": 8, "round": 1}
         )
         res = rsu_step(st, [appoint], [], 3, "r0", "bus")
-        assert res.state.phase is RsuPhase.ACTIVE
+        assert res.state == st  # active, not armed
         assert any(name == "protocol_violation" for name, _ in res.events)
 
     def test_armed_rsu_evaluates_at_t_act(self):
-        st = RsuState(phase=RsuPhase.ACTIVE, client_code=4)
+        st = RsuState(client_code=4)
         upd = ProtocolMessage(
             MsgKind.TAG_UPDATE, "bus", "r0", 3, {"new_code": 7, "round": 1}
         )
@@ -254,15 +319,87 @@ class TestRsu:
             MsgKind.SYNC_APPOINT, "bus", "r0", 3, {"t_act": 8, "round": 1}
         )
         st = rsu_step(st, [upd, appoint], [], 3, "r0", "bus").state
-        assert st.phase is RsuPhase.SYNC_ARMED
+        assert st.pending == (7, 1, 8)  # armed
         # nothing happens before t_act
         st = rsu_step(st, [], [fake_det(4)], 5, "r0", "bus").state
-        assert st.phase is RsuPhase.SYNC_ARMED
+        assert st.pending == (7, 1, 8)
         res = rsu_step(st, [], [fake_det(4), fake_det(7)], 8, "r0", "bus")
-        assert res.state.phase is RsuPhase.ACTIVE
-        assert res.state.client_code == 7  # adopted on unique verdict
+        assert res.state == RsuState(client_code=7)  # adopted on unique verdict
         result = next(m for m in res.outbound if m.kind is MsgKind.SYNC_RESULT)
         assert result.payload["verdict"].kind == "unique"
+
+
+IDLE = RsuState()
+ACTIVE = RsuState(client_code=4)
+UPDATED = RsuState(client_code=4, pending=(7, 1, None))
+ARMED = RsuState(client_code=4, pending=(7, 1, 8))
+UPDATE_1 = (MsgKind.TAG_UPDATE, {"new_code": 7, "round": 1})
+APPOINT_1 = (MsgKind.SYNC_APPOINT, {"t_act": 8, "round": 1})
+CLOSE = (MsgKind.CLOSE, {})
+
+# state, inbox, codes in frame, now -> next state, outbound kinds, event
+# names, and the SYNC_RESULT's (verdict kind, round) if one is sent
+RSU_TRANSITIONS = {
+    "initiate": (
+        IDLE, [(MsgKind.INITIATE, {"client_code": 4})], [], 1,
+        ACTIVE, ["INITIATE_ACK"], ["rsu_active"], None,
+    ),
+    "initiate_while_armed": (
+        ARMED, [(MsgKind.INITIATE, {"client_code": 5})], [], 5,
+        RsuState(client_code=5), ["INITIATE_ACK"], ["rsu_active"], None,
+    ),
+    "update_while_idle": (IDLE, [UPDATE_1], [], 3, IDLE, [], [], None),
+    "appoint_while_idle": (IDLE, [APPOINT_1], [], 3, IDLE, [], [], None),
+    "update": (ACTIVE, [UPDATE_1], [], 3, UPDATED, [], [], None),
+    "update_and_appoint": (ACTIVE, [UPDATE_1, APPOINT_1], [], 3, ARMED, [], [], None),
+    "appoint_after_update": (UPDATED, [APPOINT_1], [], 4, ARMED, [], [], None),
+    "appoint_without_update": (
+        ACTIVE, [APPOINT_1], [], 3, ACTIVE, [], ["protocol_violation"], None,
+    ),
+    "appoint_for_another_round": (
+        UPDATED, [(MsgKind.SYNC_APPOINT, {"t_act": 8, "round": 2})], [], 3,
+        UPDATED, [], ["protocol_violation"], None,
+    ),
+    "update_while_armed_keeps_t_act": (
+        ARMED, [(MsgKind.TAG_UPDATE, {"new_code": 9, "round": 2})], [], 5,
+        RsuState(client_code=4, pending=(9, 2, 8)), [], [], None,
+    ),
+    "armed_before_t_act": (ARMED, [], [4, 7], 7, ARMED, [], [], None),
+    "unique_at_t_act": (
+        ARMED, [], [4, 7], 8,
+        RsuState(client_code=7), ["SYNC_RESULT"], ["sync_evaluated"], ("unique", 1),
+    ),
+    "ambiguous_at_t_act": (
+        ARMED, [], [7, 7], 8,
+        ACTIVE, ["SYNC_RESULT"], ["sync_evaluated"], ("ambiguous", 1),
+    ),
+    "absent_at_t_act": (
+        ARMED, [], [4], 8, ACTIVE, ["SYNC_RESULT"], ["sync_evaluated"], ("absent", 1),
+    ),
+    "late_appointment": (UPDATED, [APPOINT_1], [], 9, ACTIVE, [], ["sync_missed"], None),
+    "close": (ACTIVE, [CLOSE], [4], 9, IDLE, ["CLOSE_ACK"], ["rsu_idle"], None),
+    "close_while_armed": (ARMED, [CLOSE], [4], 5, IDLE, ["CLOSE_ACK"], ["rsu_idle"], None),
+}
+
+
+@pytest.mark.parametrize(
+    "state, inbox, codes, now, after, kinds, names, result",
+    list(RSU_TRANSITIONS.values()),
+    ids=list(RSU_TRANSITIONS),
+)
+def test_rsu_transition(state, inbox, codes, now, after, kinds, names, result):
+    msgs = [ProtocolMessage(kind, "bus", "r0", now, payload) for kind, payload in inbox]
+    frame = [fake_det(code, x=float(i)) for i, code in enumerate(codes)]
+    res = rsu_step(state, msgs, frame, now, "r0", "bus")
+    assert res.state == after
+    assert [m.kind.value for m in res.outbound] == kinds
+    assert [name for name, _ in res.events] == names
+    sent = [
+        (m.payload["verdict"].kind, m.payload["round"])
+        for m in res.outbound
+        if m.kind is MsgKind.SYNC_RESULT
+    ]
+    assert sent == ([result] if result else [])
 
 
 def run_session(latency: int, max_ticks: int = 60):

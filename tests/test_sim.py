@@ -150,6 +150,16 @@ class TestScenarioConfig:
         direct = ScenarioConfig.from_json_dict(blob)
         assert run_scenario(loaded).report_json() == run_scenario(direct).report_json()
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [(None, "max_rounds"), (None, "delta_sync"), ("network", "latency")],
+    )
+    def test_rejects_values_below_one(self, section, key):
+        blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
+        (blob[section] if section else blob)[key] = 0
+        with pytest.raises(ScenarioError):
+            ScenarioConfig.from_json_dict(blob)
+
     def test_load_bad_config_scenario_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"ticks": 10}))
