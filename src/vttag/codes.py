@@ -306,6 +306,20 @@ def _clear_codes(nbits: int, d_min: int, centres: np.ndarray) -> np.ndarray:
 _TABU_BATCHES = 32
 
 
+def _max_self_distance(n: int) -> int:
+    """The largest min(d(v, r90 v), d(v, r180 v)) over all n x n codes v.
+
+    A quarter turn splits the cells into m = n*n // 4 four-cycles, plus the
+    centre when n is odd, which every turn fixes. On one cycle, v adds (0, 0),
+    (2, 2), (2, 4) or (4, 0) to that pair of distances: all four cells
+    alike, one odd cell out, two adjacent cells alike, or alternating cells.
+    (2, 4) dominates the first two, so the best code takes x alternating
+    cycles and m - x adjacent pairs. d(v, r270 v) equals d(v, r90 v).
+    """
+    m = n * n // 4
+    return max(min(2 * m + 2 * x, 4 * m - 4 * x) for x in range(m + 1))
+
+
 def generate_family(
     n: int,
     d_min: int,
@@ -371,6 +385,10 @@ def generate_family(
         raise ValueError("max_codes must be >= 1")
     if budget < max_codes:
         raise ValueError("budget must be >= max_codes")
+    if d_min > _max_self_distance(n):
+        # no code is admissible: the walk would examine every candidate the
+        # budget allows and accept none
+        raise GenerationExhausted(min(budget, 1 << (n * n)))
 
     # codes of up to 32 bits fit uint32, halving the distance matrices' memory traffic
     dtype = np.uint32 if n * n <= 32 else np.uint64

@@ -102,17 +102,28 @@ def _window_sums(a: np.ndarray, window: int, dtype) -> np.ndarray:
     return run[2 * window + 1 :] - run[:h]
 
 
+def _sum_type(h: int, w: int) -> np.dtype:
+    """Integer type of binarize's sums, areas and integer threshold.
+
+    No running sum of an h x w image exceeds 255*h*w, and no window area
+    exceeds h*w, so this signed type holds every sum and every
+    (px + offset) * area with |offset| <= 255, negative ones included.
+    """
+    return np.min_scalar_type(-511 * h * w)
+
+
 @lru_cache(maxsize=8)
 def _window_areas(h: int, w: int, window: int) -> np.ndarray:
     """Pixel count of each clipped (2*window+1)^2 window of an h x w image.
 
-    Built once per (h, w, window); the array is shared, so it is read-only.
+    Built once per (h, w, window), in _sum_type(h, w); the array is shared,
+    so it is read-only.
     """
     r = np.arange(h)
     c = np.arange(w)
     rows = np.minimum(r + window + 1, h) - np.maximum(r - window, 0)
     cols = np.minimum(c + window + 1, w) - np.maximum(c - window, 0)
-    area = (rows[:, None] * cols[None, :]).astype(float)
+    area = (rows[:, None] * cols[None, :]).astype(_sum_type(h, w))
     area.flags.writeable = False
     return area
 
@@ -122,20 +133,30 @@ def binarize(image: Image, window: int = 15, offset: float = 10.0) -> Image:
 
     Foreground (dark) pixels are 255 in the result. The local mean is taken
     over the (2*window+1)^2 neighborhood clipped to the image, from two
-    separable running sums (down the columns, then along the rows), divided
-    by a window-area table cached per (height, width, window).
+    separable running sums (down the columns, then along the rows), and a
+    window-area table cached per (height, width, window). An integral offset
+    is tested as (px + offset) * area < sum, in integers; any other offset
+    against sum / area - offset, in float64.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     px = image.pixels
     h, w = px.shape
-    # no running sum exceeds the image total, so this integer type is exact
-    acc = np.min_scalar_type(255 * h * w)
+    acc = _sum_type(h, w)
     sums = _window_sums(_window_sums(px, window, acc).T, window, acc).T
-    # the integer sums divide in float64, as they would by integer areas
-    thr = sums / _window_areas(h, w, window)
-    thr -= offset
-    fg = px < thr
+    area = _window_areas(h, w, window)
+    if float(offset).is_integer() and abs(offset) <= 255:
+        # the same mask as the division below: a mean that is not an integer
+        # lies at least 1/area from one, far beyond float64's rounding, so
+        # px + offset < sum / area in float64 exactly when it holds in integers
+        lhs = px.astype(acc)
+        lhs += int(offset)
+        lhs *= area
+        fg = lhs < sums
+    else:
+        thr = sums / area
+        thr -= offset
+        fg = px < thr
     return Image(fg.view(np.uint8) * np.uint8(255))
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "Image",
     "render_tag_bitmap",
     "project",
+    "frame_noise",
     "render_scene",
     "tag_border_corners",
     "BORDER_UNIT_CORNERS",
@@ -223,6 +224,17 @@ def _tag_pixel_bbox(camera: CameraModel, tag: PlacedTag, full_half: float):
     return (r0, r1, c0, c1)
 
 
+def frame_noise(seed: int, h: int, w: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Standard-normal sensor noise of one h x w frame, keyed by `seed`.
+
+    A counter-based (Philox) stream, so the field depends on the seed and
+    shape alone and may be drawn ahead of its frame, on any thread. Fills
+    `out`, a float64 (h, w) array, in place when given, and returns it.
+    """
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed)])))
+    return gen.standard_normal((h, w), out=out)
+
+
 def render_scene(
     camera: CameraModel,
     tags: Sequence[PlacedTag],
@@ -230,18 +242,21 @@ def render_scene(
     noise_sigma: float = 0.0,
     background: int = 96,
     seed: int = 0,
+    noise: Optional[np.ndarray] = None,
 ) -> Image:
     """Inverse-mapped rasterization of planar tags plus seeded Gaussian noise.
 
     For every pixel the camera ray is intersected with each tag plane; the
     nearest front-facing hit inside the tag's full (white-bordered) square
-    wins. Noise is generated from a counter-based generator keyed by `seed`
-    over the whole frame, so output is bit-identical regardless of any
-    internal evaluation order.
+    wins. Noise is frame_noise(seed, height, width), drawn over the whole
+    frame, so output is bit-identical regardless of any internal evaluation
+    order. A caller that drew that field already passes it as `noise`, and
+    `seed` is then unused; the field is scaled and summed in place, so its
+    contents are spent.
     """
     h, w = camera.height, camera.width
     img = np.full((h, w), np.uint8(background), dtype=np.uint8)
-    depth = np.full((h, w), np.inf)
+    depth = None  # allocated once a tag is in view
     cam_origin = camera.pose.translation
     rot = camera.pose.rotation
 
@@ -254,6 +269,8 @@ def render_scene(
         if bbox is None:
             continue
         r0, r1, c0, c1 = bbox
+        if depth is None:
+            depth = np.full((h, w), np.inf)
 
         us = (np.arange(c0, c1) + 0.5 - camera.cx) / camera.fx
         vs = (np.arange(r0, r1) + 0.5 - camera.cy) / camera.fy
@@ -283,8 +300,8 @@ def render_scene(
         sub_depth[win] = s[win]
 
     if noise_sigma > 0:
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed)])))
-        noise = gen.standard_normal((h, w))
+        if noise is None:
+            noise = frame_noise(seed, h, w)
         # clip(rint(img + sigma * noise)) in place on the noise array; the sum
         # commutes, so the frame is the same to the bit
         noise *= noise_sigma

@@ -10,12 +10,15 @@ Tick order: attackers react first to what the bus shows this tick (so a
 zero-latency mimic really is on-screen simultaneously), then every camera
 captures and detects, then messages due this tick are delivered and the
 RSU and bus state machines step. Each screen is read from its agent's
-state.
+state. A camera's sensor noise depends on nothing in the scene, so with
+noise on, each camera's field for tick t + 1 is drawn on one worker thread
+while tick t is detected and stepped; frames are the same to the bit.
 """
 
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -26,7 +29,7 @@ import numpy as np
 from .codes import TagFamily, generate_family
 from .detector import DetectorParams, detect
 from .errors import DegenerateProjection, ScenarioError
-from .imaging import CameraModel, PlacedTag, render_scene
+from .imaging import CameraModel, PlacedTag, frame_noise, render_scene
 from .localization import PlanarPose, PoseEstimate, detection_weight, vehicle_pose_from_detection
 from .protocol import (
     AttackerState,
@@ -430,129 +433,153 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
     def log(tick, name, detail):
         events.append(_jsonable_event(tick, name, detail))
 
-    for t in range(config.ticks):
-        # 1. the bus's ground-truth pose, and its screen: a challenge code
-        #    due this tick is already showing
-        bus_pose = config.bus.trajectory.at(t)
-        bus_code = bus_screen(bus_state, t)
+    # a camera's noise depends only on the seed, the camera, the tick and
+    # the frame shape, and numpy draws it without holding the GIL; so each
+    # camera's field for the next tick is drawn on a worker thread, into
+    # that camera's one buffer, while this thread detects and steps
+    noise_pool = None
+    if config.noise_sigma > 0:
+        noise_buffers = [np.empty((r.camera.height, r.camera.width)) for r in config.rsus]
+        noise_pool = ThreadPoolExecutor(max_workers=1)
+    next_noise = {}  # RSU index -> future of its field for the coming tick
 
-        # 2. attackers react to what is on the bus screen right now, so a
-        #    zero-latency mimic is already switched when the frames below
-        #    are captured ("simultaneous" = same tick)
-        for a in config.attackers:
-            seen = bus_code if a.line_of_sight else None
-            res = attacker_step(atk_states[a.id], seen, t)
-            atk_states[a.id] = res.state
-            for name, detail in res.events:
-                log(t, name, {**detail, "agent": a.id})
-
-        # 3. render + detect per RSU
-        placed = []
-        entity_tag_world = {}
-        specs = [(config.bus.id, config.bus, bus_pose, bus_code)] + [
-            (a.id, a, a.trajectory.at(t), atk_states[a.id].displayed_code)
-            for a in config.attackers
-        ]
-        for eid, spec, planar, code in specs:
-            world = planar_to_world(planar.x, planar.y, planar.yaw) @ spec.mount
-            placed.append(PlacedTag(index=code, tag_size=spec.tag_size, pose=world))
-            entity_tag_world[eid] = world.translation
-
-        frames = {}
-        for ri, rsu in enumerate(config.rsus):
-            render_seed = int(
-                np.random.SeedSequence([config.seed, 0xCA13, ri, t]).generate_state(1)[0]
-            )
-            img = render_scene(
-                rsu.camera,
-                placed,
-                family,
-                noise_sigma=config.noise_sigma,
-                seed=render_seed,
-            )
-            frames[rsu.id] = detect(
-                img, rsu.camera, family, config.bus.tag_size, config.detector
-            )
-
-        # 4. deliver messages due this tick
-        inboxes: dict = {}
-        for msg in channel.deliver(t):
-            inboxes.setdefault(msg.receiver, []).append(msg)
-
-        def post(msgs, now):
-            for m in msgs:
-                deliver_at = channel.send(m, now)
-                log(
-                    now,
-                    "message",
-                    {
-                        "msg": m,
-                        "deliver_at": deliver_at,
-                        "dropped": deliver_at is None,
-                    },
-                )
-
-        # 5. RSU state machines
-        for rsu in config.rsus:
-            cam = rsu.camera
-
-            def est_fn(det, _cam=cam, _rid=rsu.id, _t=t):
-                return _estimate_from_detection(
-                    det, _cam, config.bus.mount, _rid, _t
-                )
-
-            res = rsu_step(
-                rsu_states[rsu.id],
-                inboxes.get(rsu.id, ()),
-                frames[rsu.id],
-                t,
-                rsu.id,
-                config.bus.id,
-                estimate_fn=est_fn,
-            )
-            rsu_states[rsu.id] = res.state
-            for name, detail in res.events:
-                log(t, name, detail)
-                # ground-truth attribution of unique sync verdicts
-                if name == "sync_evaluated" and detail["verdict"]["kind"] == "unique":
-                    cam_xyz = np.array(detail["verdict"]["tag_xyz"])
-                    world_xyz = cam.pose.apply(cam_xyz)
-                    best = min(
-                        entity_tag_world,
-                        key=lambda e: float(
-                            np.linalg.norm(entity_tag_world[e] - world_xyz)
-                        ),
-                    )
-                    log(
-                        t,
-                        "sync_attribution",
-                        {"rsu": rsu.id, "entity": best},
-                    )
-                    if best != config.bus.id:
-                        log(t, "attacker_accepted", {"rsu": rsu.id, "entity": best})
-            post(res.outbound, t)
-
-        # 6. bus state machine
-        bres = bus_step(bus_state, inboxes.get(config.bus.id, ()), t, proto_cfg)
-        bus_state = bres.state
-        for name, detail in bres.events:
-            log(t, name, detail)
-        post(bres.outbound, t)
-
-        truth.append(
-            {
-                "tick": t,
-                "bus_pose": bus_pose.to_json_dict(),
-                "bus_screen": bus_code,
-                "attacker_screens": {
-                    a.id: atk_states[a.id].displayed_code for a in config.attackers
-                },
-                "detections": {
-                    rid: [d.code_index for d in dets] for rid, dets in frames.items()
-                },
-                "bus_phase": bus_state.phase.value,
-            }
+    def draw_noise(ri, t):
+        if noise_pool is None or t == config.ticks:
+            return
+        render_seed = int(
+            np.random.SeedSequence([config.seed, 0xCA13, ri, t]).generate_state(1)[0]
         )
+        buf = noise_buffers[ri]
+        next_noise[ri] = noise_pool.submit(frame_noise, render_seed, *buf.shape, out=buf)
+
+    try:
+        for ri in range(len(config.rsus)):
+            draw_noise(ri, 0)
+        for t in range(config.ticks):
+            # 1. the bus's ground-truth pose, and its screen: a challenge code
+            #    due this tick is already showing
+            bus_pose = config.bus.trajectory.at(t)
+            bus_code = bus_screen(bus_state, t)
+
+            # 2. attackers react to what is on the bus screen right now, so a
+            #    zero-latency mimic is already switched when the frames below
+            #    are captured ("simultaneous" = same tick)
+            for a in config.attackers:
+                seen = bus_code if a.line_of_sight else None
+                res = attacker_step(atk_states[a.id], seen, t)
+                atk_states[a.id] = res.state
+                for name, detail in res.events:
+                    log(t, name, {**detail, "agent": a.id})
+
+            # 3. render + detect per RSU
+            placed = []
+            entity_tag_world = {}
+            specs = [(config.bus.id, config.bus, bus_pose, bus_code)] + [
+                (a.id, a, a.trajectory.at(t), atk_states[a.id].displayed_code)
+                for a in config.attackers
+            ]
+            for eid, spec, planar, code in specs:
+                world = planar_to_world(planar.x, planar.y, planar.yaw) @ spec.mount
+                placed.append(PlacedTag(index=code, tag_size=spec.tag_size, pose=world))
+                entity_tag_world[eid] = world.translation
+
+            frames = {}
+            for ri, rsu in enumerate(config.rsus):
+                img = render_scene(
+                    rsu.camera,
+                    placed,
+                    family,
+                    noise_sigma=config.noise_sigma,
+                    noise=next_noise[ri].result() if noise_pool is not None else None,
+                )
+                # the frame is a copy, so the buffer is free for the next draw
+                draw_noise(ri, t + 1)
+                frames[rsu.id] = detect(
+                    img, rsu.camera, family, config.bus.tag_size, config.detector
+                )
+
+            # 4. deliver messages due this tick
+            inboxes: dict = {}
+            for msg in channel.deliver(t):
+                inboxes.setdefault(msg.receiver, []).append(msg)
+
+            def post(msgs, now):
+                for m in msgs:
+                    deliver_at = channel.send(m, now)
+                    log(
+                        now,
+                        "message",
+                        {
+                            "msg": m,
+                            "deliver_at": deliver_at,
+                            "dropped": deliver_at is None,
+                        },
+                    )
+
+            # 5. RSU state machines
+            for rsu in config.rsus:
+                cam = rsu.camera
+
+                def est_fn(det, _cam=cam, _rid=rsu.id, _t=t):
+                    return _estimate_from_detection(
+                        det, _cam, config.bus.mount, _rid, _t
+                    )
+
+                res = rsu_step(
+                    rsu_states[rsu.id],
+                    inboxes.get(rsu.id, ()),
+                    frames[rsu.id],
+                    t,
+                    rsu.id,
+                    config.bus.id,
+                    estimate_fn=est_fn,
+                )
+                rsu_states[rsu.id] = res.state
+                for name, detail in res.events:
+                    log(t, name, detail)
+                    # ground-truth attribution of unique sync verdicts
+                    if name == "sync_evaluated" and detail["verdict"]["kind"] == "unique":
+                        cam_xyz = np.array(detail["verdict"]["tag_xyz"])
+                        world_xyz = cam.pose.apply(cam_xyz)
+                        best = min(
+                            entity_tag_world,
+                            key=lambda e: float(
+                                np.linalg.norm(entity_tag_world[e] - world_xyz)
+                            ),
+                        )
+                        log(
+                            t,
+                            "sync_attribution",
+                            {"rsu": rsu.id, "entity": best},
+                        )
+                        if best != config.bus.id:
+                            log(t, "attacker_accepted", {"rsu": rsu.id, "entity": best})
+                post(res.outbound, t)
+
+            # 6. bus state machine
+            bres = bus_step(bus_state, inboxes.get(config.bus.id, ()), t, proto_cfg)
+            bus_state = bres.state
+            for name, detail in bres.events:
+                log(t, name, detail)
+            post(bres.outbound, t)
+
+            truth.append(
+                {
+                    "tick": t,
+                    "bus_pose": bus_pose.to_json_dict(),
+                    "bus_screen": bus_code,
+                    "attacker_screens": {
+                        a.id: atk_states[a.id].displayed_code for a in config.attackers
+                    },
+                    "detections": {
+                        rid: [d.code_index for d in dets] for rid, dets in frames.items()
+                    },
+                    "bus_phase": bus_state.phase.value,
+                }
+            )
+    finally:
+        if noise_pool is not None:
+            noise_pool.shutdown(cancel_futures=True)
 
     metrics = compute_metrics(events, truth, config)
     metrics["messages_sent"] = channel.sent

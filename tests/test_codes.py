@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from vttag.codes import (
     _clear_codes,
     _feistel_batch,
     _feistel_inverse,
+    _max_self_distance,
     _rotate_packed,
     _rotation_tables,
     _stream_keys,
@@ -361,6 +363,58 @@ def test_greedy_finish_needs_an_accepted_code(monkeypatch):
     monkeypatch.setattr(codes, "_clear_codes", screen)
     with pytest.raises(GenerationExhausted):
         generate_family(4, 11, 1, seed=0, budget=2**17)
+
+
+def test_greedy_finish_waits_for_a_first_acceptance(monkeypatch):
+    # admissible codes exist at n = 4, d_min 10, but none lies in the first
+    # 64-index chunk of seed 4's walk; that chunk screens out with nothing
+    # accepted, so the pass must walk on and finish only once it holds a code
+    monkeypatch.setattr(codes, "_GREEDY_CHUNK", 64)
+    n, d_min, seed = 4, 10, 4
+    first = next(_candidate_stream(n, seed, batch=64))
+    assert (_self_distance(n, first) < d_min).all()
+    finishes = []
+
+    def screen(nbits, d_min, centres):
+        assert centres.size, "the finish ran with no code accepted"
+        finishes.append(centres.size)
+        return _clear_codes(nbits, d_min, centres)
+
+    monkeypatch.setattr(codes, "_clear_codes", screen)
+    fam = generate_family(n, d_min, 30, seed=seed, budget=2**16)
+    assert len(finishes) == 1
+    assert list(fam.codes) == _reference_generate_family(n, d_min, 30, seed, 2**16)
+
+
+def _self_distance(n, values):
+    """min(d(v, r90 v), d(v, r180 v), d(v, r270 v)) of each value."""
+    tables = _rotation_tables(n).astype(values.dtype)
+    turns = [values]
+    for _ in range(3):
+        turns.append(_rotate_packed(turns[-1], tables))
+    return np.min([np.bitwise_count(values ^ r) for r in turns[1:]], axis=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_max_self_distance_matches_brute_force(n):
+    codes_ = np.arange(1 << (n * n), dtype=np.uint32)
+    assert _max_self_distance(n) == int(_self_distance(n, codes_).max())
+
+
+def test_max_self_distance_of_5x5():
+    # no 5x5 code lies farther than 16 from its own rotations
+    assert _max_self_distance(5) == 16
+
+
+@pytest.mark.parametrize("budget", [2**25, 1000])
+def test_no_admissible_code_exhausts_at_once(budget):
+    # the walk would examine min(budget, 2^25) candidates and accept none;
+    # it took over 7 s before this exit
+    t0 = time.perf_counter()
+    with pytest.raises(GenerationExhausted) as err:
+        generate_family(5, 17, 1, seed=0, budget=budget)
+    assert time.perf_counter() - t0 < 1.0
+    assert err.value.examined == min(budget, 2**25)
 
 
 def _clear_of_chain(values, d_min, centres):

@@ -124,7 +124,10 @@ def _brute_force_binarize(px: np.ndarray, window: int, offset: float) -> np.ndar
 
 class TestBinarize:
     @pytest.mark.parametrize(
-        "shape, levels, offset", [((7, 11), 256, 10.0), ((23, 9), 3, 0.0)]
+        "shape, levels, offset",
+        [((7, 11), 256, 10.0), ((23, 9), 3, 0.0),
+         # an integral offset takes the integer test, any other the division
+         ((7, 11), 256, 0.0), ((16, 13), 256, 7.5), ((23, 9), 24, 7.5), ((9, 14), 5, -2.0)],
     )
     @pytest.mark.parametrize("window", [1, 4, 40])
     def test_matches_brute_force_mean(self, shape, levels, offset, window):

@@ -11,6 +11,7 @@ from vttag.imaging import (
     CameraModel,
     Image,
     PlacedTag,
+    frame_noise,
     project,
     render_scene,
     render_tag_bitmap,
@@ -159,6 +160,21 @@ class TestRenderScene:
         got = render_scene(cam, [tag], family, noise_sigma=sigma, seed=seed).pixels
         assert got.dtype == np.uint8
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_drawn_noise_renders_as_its_seed(self, camera, family, seed):
+        tag = PlacedTag(index=4, tag_size=0.7, pose=RigidTransform(
+            np.diag([1.0, -1.0, -1.0]), np.array([0, 0, 2.0])))
+        want = render_scene(camera, [tag], family, noise_sigma=2.0, seed=seed).pixels
+        noise = frame_noise(seed, camera.height, camera.width)
+        got = render_scene(camera, [tag], family, noise_sigma=2.0, noise=noise).pixels
+        assert np.array_equal(got, want)
+
+    def test_frame_noise_into_a_used_buffer(self):
+        buf = np.full((180, 240), np.nan)
+        for seed in (5, 6):  # the second draw overwrites the first
+            assert frame_noise(seed, 180, 240, out=buf) is buf
+            assert np.array_equal(buf, frame_noise(seed, 180, 240))
 
     def test_depth_buffer_near_tag_wins(self, camera, family):
         base = RigidTransform(np.diag([1.0, -1.0, -1.0]), np.array([0, 0, 3.0]))

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import threading
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import vttag.simulate
 from vttag.errors import ScenarioError
 from vttag.localization import PlanarPose
 from vttag.protocol import ProtocolMessage, MsgKind
-from vttag.scenarios import make_baseline_scenario, make_clone_attack_scenario
+from vttag.imaging import render_scene
+from vttag.scenarios import make_baseline_scenario, make_clone_attack_scenario, overhead_camera
 from vttag.simulate import (
     Channel,
     ScenarioConfig,
@@ -313,3 +317,71 @@ class TestOneEventPerStateChange:
             ("rsu0", challenge["t_act"], challenge["round"])
         ]
         assert missed[0]["tick"] > challenge["t_act"]
+
+
+class TestNoisePrefetch:
+    """Each camera's next noise field is drawn on a worker thread."""
+
+    @pytest.mark.parametrize("bystander", [False, True])
+    def test_frames_match_inline_render(self, monkeypatch, bystander):
+        blob = make_clone_attack_scenario(seed=3 if bystander else 0, reaction_latency=2)
+        if bystander:  # a 640x480 camera that sees neither vehicle, listed first
+            far = {"id": "rsu_far", "camera": overhead_camera(20.0, 0.0, 700.0, 640, 480)}
+            blob["rsus"] = [far] + blob["rsus"]
+            blob["network"]["drop"] = 0.1
+        cfg = ScenarioConfig.from_json_dict(blob)
+        rsu_of = {id(r.camera): i for i, r in enumerate(cfg.rsus)}
+        ticks = [0] * len(cfg.rsus)
+        real = vttag.simulate.render_scene
+
+        def checked(camera, tags, family, noise_sigma=0.0, **kwargs):
+            ri = rsu_of[id(camera)]
+            render_seed = int(
+                np.random.SeedSequence([cfg.seed, 0xCA13, ri, ticks[ri]]).generate_state(1)[0]
+            )
+            ticks[ri] += 1
+            want = render_scene(camera, tags, family, noise_sigma=noise_sigma, seed=render_seed)
+            got = real(camera, tags, family, noise_sigma=noise_sigma, **kwargs)
+            assert np.array_equal(got.pixels, want.pixels)
+            return got
+
+        monkeypatch.setattr(vttag.simulate, "render_scene", checked)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over often, to stress the buffer hand-off
+        try:
+            run_scenario(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert ticks == [cfg.ticks] * len(cfg.rsus)
+
+    @pytest.mark.parametrize("sigma, workers", [(2.0, 1), (0.0, 0)])
+    def test_worker_lives_only_within_a_noisy_session(self, monkeypatch, sigma, workers):
+        before = threading.active_count()
+        during = []
+        real = vttag.simulate.detect
+
+        def counting(*args, **kwargs):
+            during.append(threading.active_count() - before)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(vttag.simulate, "detect", counting)
+        run_scenario(ScenarioConfig.from_json_dict(
+            make_baseline_scenario(seed=0, ticks=8, noise_sigma=sigma)))
+        assert during == [workers] * 16
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_failed_session(self, monkeypatch):
+        before = threading.active_count()
+        calls = []
+        real = vttag.simulate.detect
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:  # mid-session, with the next draws queued
+                raise RuntimeError("detector fault")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(vttag.simulate, "detect", failing)
+        with pytest.raises(RuntimeError, match="detector fault"):
+            run_scenario(baseline(0, 8))
+        assert threading.active_count() == before
