@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -95,27 +95,36 @@ def hamming(a: TagCode, b: TagCode) -> int:
     return int((a.to_int() ^ b.to_int()).bit_count())
 
 
-def _rotation_tables(n: int) -> np.ndarray:
-    """Per-byte lookup tables for one quarter turn of a packed n x n code.
+# Bits per lookup of _rotate_packed: a 25-bit code takes two, a 64-bit one five.
+_CHUNK_BITS = 13
 
-    Row k maps the value of byte k of a code to that byte's bits moved to
-    their rotated positions, so a rotation is an OR of one lookup per byte.
+
+@lru_cache(maxsize=8)
+def _rotation_tables(n: int) -> np.ndarray:
+    """Per-chunk lookup tables for one quarter turn of a packed n x n code.
+
+    Row k maps the value of bits 13k ... 13k + 12 of a code to those bits
+    moved to their rotated positions, so a rotation is an OR of one lookup
+    per 13-bit chunk. Each row is built by doubling: the entries with bit b
+    set are those below 2^b plus bit b's rotated position. Built once per n
+    in uint64; the array is shared, so it is read-only.
     """
     nbits = n * n
-    tables = np.zeros(((nbits + 7) // 8, 256), dtype=np.uint64)
-    for r in range(n):
-        for c in range(n):
-            old, new = r * n + c, c * n + (n - 1 - r)
-            hit = (np.arange(256) >> (old % 8)) & 1 == 1
-            tables[old // 8, hit] |= np.uint64(1 << new)
+    tables = np.zeros((-(-nbits // _CHUNK_BITS), 1 << _CHUNK_BITS), dtype=np.uint64)
+    for old in range(nbits):
+        k, b = divmod(old, _CHUNK_BITS)
+        r, c = divmod(old, n)
+        tables[k, 1 << b : 2 << b] = tables[k, : 1 << b] | np.uint64(1 << (c * n + n - 1 - r))
+    tables.flags.writeable = False
     return tables
 
 
 def _rotate_packed(values: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """Quarter-turn a batch of packed codes (see _rotation_tables)."""
-    out = np.zeros(values.shape, dtype=tables.dtype)
-    for k, table in enumerate(tables):
-        out |= table[(values >> values.dtype.type(8 * k)) & values.dtype.type(0xFF)]
+    mask = values.dtype.type((1 << _CHUNK_BITS) - 1)
+    out = tables[0][values & mask]
+    for k in range(1, len(tables)):
+        out |= tables[k][(values >> values.dtype.type(_CHUNK_BITS * k)) & mask]
     return out
 
 
@@ -369,7 +378,13 @@ def generate_family(
     code replaces it, unless that code entered by a swap within the last
     _TABU_BATCHES batches. Swaps keep the family's size and walk it across
     maximal families until an addition opens up. This phase keeps
-    _BATCH-index batches, since its tabu clock counts batches.
+    _BATCH-index batches, since its tabu clock counts batches. Each batch
+    screens its admissible candidates once, into one conflict row per
+    accepted code over the whole batch, and sums those rows into a count
+    per candidate. The candidates are then taken in order. After each
+    change only the changed code's row is re-screened, over the rest of
+    the batch, and the count there moves by the row's new values minus its
+    old ones; an addition first appends an empty row.
 
     Stops after max_codes acceptances or budget candidates examined over
     both phases, so a family the greedy pass completes never reaches the
@@ -392,7 +407,7 @@ def generate_family(
 
     # codes of up to 32 bits fit uint32, halving the distance matrices' memory traffic
     dtype = np.uint32 if n * n <= 32 else np.uint64
-    tables = _rotation_tables(n).astype(dtype)
+    tables = _rotation_tables(n).astype(dtype, copy=False)
 
     def rotations(value: int) -> np.ndarray:
         """The four quarter turns of one code, shape (4,)."""
@@ -415,10 +430,14 @@ def generate_family(
         return values[keep]
 
     def conflicts(values: np.ndarray, rots: np.ndarray) -> np.ndarray:
-        """(len(values), codes) mask: True where a value conflicts with that column's code."""
-        hit = np.zeros((values.size, rots.shape[1]), dtype=bool)
-        for q in range(4):
-            hit |= np.bitwise_count(values[:, None] ^ rots[q][None, :]) < d_min
+        """(codes, len(values)) mask: row i is True where a value conflicts with code i.
+
+        rots holds code i's four quarter turns in column i; each pass runs
+        along the contiguous values axis.
+        """
+        hit = np.bitwise_count(rots[0][:, None] ^ values) < d_min
+        for r in rots[1:]:
+            hit |= np.bitwise_count(r[:, None] ^ values) < d_min
         return hit
 
     accepted: list[int] = []
@@ -457,8 +476,9 @@ def generate_family(
         if len(accepted) == max_codes or examined >= budget:
             break
 
-    # column i: rotations of code i; a contiguous copy, as conflicts() is slow on a strided view
+    # column i: rotations of code i; rows are contiguous, as conflicts() reads them whole
     accepted_rots = np.array(greedy_rots, dtype=dtype).reshape(-1, 4).T.copy()
+    count_type = np.min_scalar_type(max_codes)  # no candidate conflicts with more codes than that
     entered = [-_TABU_BATCHES] * len(accepted)  # swap-phase batch at which each code was swapped in
     batch_no = 0
     sweep = 1
@@ -468,17 +488,18 @@ def generate_family(
             examined += vals.size
             vals = vals[admissible(vals)]
             hit = conflicts(vals, accepted_rots)
+            count = hit.sum(axis=0, dtype=count_type)  # each candidate's conflicts, kept current from pos on
 
             pos = 0
             while len(accepted) < max_codes:
-                count = np.count_nonzero(hit[pos:], axis=1)
                 tabu = [i for i, b in enumerate(entered) if b > batch_no - _TABU_BATCHES]
-                ok = (count == 0) | ((count == 1) & ~hit[pos:, tabu].any(axis=1))
-                hits = np.nonzero(ok)[0]
+                rest = count[pos:]
+                ok = (rest == 0) | ((rest == 1) & ~hit[tabu, pos:].any(axis=0))
+                hits = np.flatnonzero(ok)
                 if hits.size == 0:
                     break
                 p = pos + int(hits[0])
-                swap = count[p - pos] == 1
+                swap = count[p] == 1
                 pos = p + 1
                 value = int(vals[p])
                 if not swap:
@@ -486,16 +507,19 @@ def generate_family(
                     accepted.append(value)
                     entered.append(-_TABU_BATCHES)
                     accepted_rots = np.column_stack([accepted_rots, rotations(value)])
-                    hit = np.hstack([hit, np.zeros((vals.size, 1), dtype=bool)])
+                    hit = np.vstack([hit, np.zeros((1, vals.size), dtype=bool)])
                 else:
-                    slot = int(np.argmax(hit[p]))
+                    slot = int(np.argmax(hit[:, p]))
                     if value in accepted_rots[:, slot]:
                         continue  # a rotation of the code it would replace
                     accepted[slot] = value
                     entered[slot] = batch_no
                     accepted_rots[:, slot] = rotations(value)
                 # re-screen the rest of the batch against the changed code
-                hit[pos:, slot] = conflicts(vals[pos:], accepted_rots[:, slot : slot + 1])[:, 0]
+                row = conflicts(vals[pos:], accepted_rots[:, slot : slot + 1])[0]
+                count[pos:] += row
+                count[pos:] -= hit[slot, pos:]
+                hit[slot, pos:] = row
             batch_no += 1
             if len(accepted) == max_codes or examined >= budget:
                 break

@@ -50,7 +50,7 @@ def family():
 def family_d10():
     # the greedy pass stops at 21 codes after its finish screens all 2^25
     # codes (~0.1 s); the swap phase finds the 30th after about 155M
-    # candidates in all (~26-50 s in all on one 2-core Xeon, whose speed
+    # candidates in all (~21-30 s in all on one 2-core Xeon, whose speed
     # drifts by up to 2x)
     return generate_family(5, 10, 30, seed=42, budget=200_000_000)
 

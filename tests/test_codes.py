@@ -95,6 +95,25 @@ class TestRotate90:
         packed = _rotate_packed(np.array(values, dtype=np.uint64), _rotation_tables(5))
         assert packed.tolist() == [rotate90(TagCode.from_int(5, v)).to_int() for v in values]
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_packed_rotation_matches_for_every_chunk_count(self, n):
+        # n = 2 ... 8 packs into 1 ... 5 lookup chunks; the all-ones code and
+        # one with only the top bit set reach the last chunk's highest entry
+        nbits = n * n
+        rng = np.random.default_rng(n)
+        values = [(1 << nbits) - 1, 1 << (nbits - 1)]
+        values += rng.integers(0, 1 << nbits, 20, dtype=np.uint64).tolist()
+        expected = [rotate90(TagCode.from_int(n, v)).to_int() for v in values]
+        shared = _rotation_tables(n)  # built once per n and shared, so read-only
+        assert shared is _rotation_tables(n) and not shared.flags.writeable
+        assert len(shared) == -(-nbits // 13)
+        dtypes = [np.uint32, np.uint64] if nbits <= 32 else [np.uint64]
+        for dtype in dtypes:
+            tables = shared.astype(dtype)
+            packed = _rotate_packed(np.array(values, dtype=dtype), tables)
+            assert packed.dtype == dtype
+            assert packed.tolist() == expected
+
 
 class TestHamming:
     def test_zero_iff_equal(self):
