@@ -6,13 +6,11 @@ a latent and optionally lossy channel, and distills an event log plus
 metrics. Everything is a pure function of the scenario config: all
 randomness flows from config.seed through counter-based generators.
 
-Tick order: attackers react first to what the bus shows this tick (so a
-zero-latency mimic really is on-screen simultaneously), then every camera
-captures and detects, then messages due this tick are delivered and the
-RSU and bus state machines step. Each screen is read from its agent's
-state. A camera's sensor noise depends on nothing in the scene, so with
-noise on, each camera's field for tick t + 1 is drawn on one worker thread
-while tick t is detected and stepped; frames are the same to the bit.
+step_session owns the order of a tick; run_scenario supplies it rendered
+frames, and the protocol tests supply abstract ones. A camera's sensor
+noise depends on nothing in the scene, so with noise on, each camera's
+field for tick t + 1 is drawn on one worker thread while tick t is
+detected and stepped; frames are the same to the bit.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Optional
 
@@ -34,6 +32,7 @@ from .localization import PlanarPose, PoseEstimate, detection_weight, vehicle_po
 from .protocol import (
     AttackerState,
     AttackerStrategy,
+    BusState,
     ProtocolConfig,
     ProtocolMessage,
     RsuState,
@@ -54,6 +53,8 @@ __all__ = [
     "ScenarioConfig",
     "Channel",
     "SimReport",
+    "Session",
+    "step_session",
     "run_scenario",
     "compute_metrics",
 ]
@@ -123,6 +124,10 @@ class VehicleSpec:
     enter_tick: int
     leave_tick: int
 
+    def __post_init__(self):
+        if self.tag_size <= 0:
+            raise ScenarioError(f"tag_size of {self.id} must be positive")
+
 
 @dataclass(frozen=True)
 class AttackerSpec:
@@ -134,6 +139,12 @@ class AttackerSpec:
     mount: RigidTransform
     trajectory: Trajectory
     line_of_sight: bool = True
+
+    def __post_init__(self):
+        if self.reaction_latency < 0:
+            raise ScenarioError(f"reaction_latency of {self.id} must be >= 0")
+        if self.tag_size <= 0:
+            raise ScenarioError(f"tag_size of {self.id} must be positive")
 
 
 @dataclass(frozen=True)
@@ -310,9 +321,9 @@ class SimReport:
         return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.events)
 
 
-def _estimate_from_detection(det, camera, mount, rsu_id, tick):
+def _estimate_from_detection(cameras, mount, rsu_id, tick, det):
     try:
-        pose = vehicle_pose_from_detection(det, camera, mount)
+        pose = vehicle_pose_from_detection(det, cameras[rsu_id], mount)
     except DegenerateProjection:
         return None
     return PoseEstimate(
@@ -392,13 +403,74 @@ def _family_for(n: int, d_min: int, count: int, seed: int) -> TagFamily:
     return generate_family(n, d_min, count, seed=seed)
 
 
+@dataclass
+class Session:
+    """Every agent of one protocol session, and the channel between them.
+
+    rsus maps each RSU id to its state, in the order the RSUs step;
+    attackers maps each attacker id to its state; blind holds the ids of
+    attackers that cannot see the bus's screen. channel is anything with
+    Channel's send and deliver. step_session advances a session in place.
+    """
+
+    config: ProtocolConfig
+    bus: BusState
+    rsus: dict
+    attackers: dict
+    channel: Channel
+    blind: frozenset = frozenset()
+
+
+def step_session(s: Session, t: int, see, log, estimate=None) -> tuple:
+    """Advance every agent of s by tick t; returns (bus screen, frames).
+
+    Tick order: attackers react first to what the bus shows this tick (so
+    a zero-latency mimic really is on-screen simultaneously), then every
+    camera captures and detects, then messages due this tick are delivered
+    and the RSU state machines step in list order, then the bus's. Each
+    screen is read from its agent's state. A message posted in tick t is
+    never delivered before tick t + 1.
+
+    see(t, bus_code, attacker_codes) returns the tick's detections per RSU
+    id; attacker_codes maps each attacker id to the code it shows.
+    log(t, name, detail) receives each agent's events right after it
+    steps, an attacker's with its "agent" id added, then one "message"
+    event per message it posted, with the tick it is due ("deliver_at",
+    None when dropped). estimate(rsu_id, t, det), when given, turns a
+    detection of the bus's code into that RSU's pose report.
+    """
+    bus_code = bus_screen(s.bus, t)
+    for aid, atk in s.attackers.items():
+        res = attacker_step(atk, None if aid in s.blind else bus_code, t)
+        s.attackers[aid] = res.state
+        for name, detail in res.events:
+            log(t, name, {**detail, "agent": aid})
+    frames = see(t, bus_code, {aid: a.displayed_code for aid, a in s.attackers.items()})
+
+    inboxes: dict = {}
+    for msg in s.channel.deliver(t):
+        inboxes.setdefault(msg.receiver, []).append(msg)
+
+    def record(res):
+        for name, detail in res.events:
+            log(t, name, detail)
+        for m in res.outbound:
+            deliver_at = s.channel.send(m, t)
+            log(t, "message", {"msg": m, "deliver_at": deliver_at, "dropped": deliver_at is None})
+        return res.state
+
+    for rid, rsu in s.rsus.items():
+        est = None if estimate is None else partial(estimate, rid, t)
+        res = rsu_step(rsu, inboxes.get(rid, ()), frames[rid], t, rid, s.config.bus_id, est)
+        s.rsus[rid] = record(res)
+    s.bus = record(bus_step(s.bus, inboxes.get(s.config.bus_id, ()), t, s.config))
+    return bus_code, frames
+
+
 def run_scenario(config: ScenarioConfig) -> SimReport:
     """Run the full tick loop; deterministic given the config."""
     family = _family_for(
-        config.family_n,
-        config.family_d_min,
-        config.family_count,
-        config.family_seed,
+        config.family_n, config.family_d_min, config.family_count, config.family_seed
     )
     for spec in (config.bus,) + config.attackers:
         code = spec.initial_code
@@ -407,31 +479,40 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
                 f"initial code {code} of {spec.id} outside family of {len(family)}"
             )
 
-    proto_cfg = ProtocolConfig(
-        bus_id=config.bus.id,
-        rsu_ids=tuple(r.id for r in config.rsus),
-        enter_tick=config.bus.enter_tick,
-        leave_tick=config.bus.leave_tick,
-        max_rounds=config.max_rounds,
-        delta_sync=config.delta_sync,
+    session = Session(
+        config=ProtocolConfig(
+            bus_id=config.bus.id, rsu_ids=tuple(r.id for r in config.rsus),
+            enter_tick=config.bus.enter_tick, leave_tick=config.bus.leave_tick,
+            max_rounds=config.max_rounds, delta_sync=config.delta_sync,
+        ),
+        bus=make_bus_state(config.bus.initial_code, len(family), config.seed),
+        rsus={r.id: RsuState() for r in config.rsus},
+        attackers={
+            a.id: AttackerState(a.strategy, a.initial_code, a.reaction_latency)
+            for a in config.attackers
+        },
+        channel=Channel(config.network.latency, config.network.drop, config.seed),
+        blind=frozenset(a.id for a in config.attackers if not a.line_of_sight),
     )
-    bus_state = make_bus_state(config.bus.initial_code, len(family), config.seed)
-    rsu_states = {r.id: RsuState() for r in config.rsus}
-    atk_states = {
-        a.id: AttackerState(
-            strategy=a.strategy,
-            displayed_code=a.initial_code,
-            reaction_latency=a.reaction_latency,
-        )
-        for a in config.attackers
-    }
-    channel = Channel(config.network.latency, config.network.drop, config.seed)
+    cameras = {r.id: r.camera for r in config.rsus}
+    estimate = partial(_estimate_from_detection, cameras, config.bus.mount)
 
     events: list = []
     truth: list = []
+    placed_at = {}  # entity id -> (its pose, its tag's world position) this tick
 
     def log(tick, name, detail):
         events.append(_jsonable_event(tick, name, detail))
+        # ground-truth attribution of unique sync verdicts
+        if name == "sync_evaluated" and detail["verdict"]["kind"] == "unique":
+            rid = detail["rsu"]
+            world_xyz = cameras[rid].pose.apply(np.array(detail["verdict"]["tag_xyz"]))
+            best = min(
+                placed_at, key=lambda e: float(np.linalg.norm(placed_at[e][1] - world_xyz))
+            )
+            events.append({"tick": tick, "event": "sync_attribution", "rsu": rid, "entity": best})
+            if best != config.bus.id:
+                events.append({**events[-1], "event": "attacker_accepted"})
 
     # a camera's noise depends only on the seed, the camera, the tick and
     # the frame shape, and numpy draws it without holding the GIL; so each
@@ -452,142 +533,61 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
         buf = noise_buffers[ri]
         next_noise[ri] = noise_pool.submit(frame_noise, render_seed, *buf.shape, out=buf)
 
+    def see(t, bus_code, attacker_codes):
+        codes = {config.bus.id: bus_code, **attacker_codes}
+        placed = []
+        for spec in (config.bus,) + config.attackers:
+            planar = spec.trajectory.at(t)
+            world = planar_to_world(planar.x, planar.y, planar.yaw) @ spec.mount
+            placed.append(PlacedTag(index=codes[spec.id], tag_size=spec.tag_size, pose=world))
+            placed_at[spec.id] = planar, world.translation
+        frames = {}
+        for ri, rsu in enumerate(config.rsus):
+            img = render_scene(
+                rsu.camera,
+                placed,
+                family,
+                noise_sigma=config.noise_sigma,
+                noise=next_noise[ri].result() if noise_pool is not None else None,
+            )
+            # the frame is a copy, so the buffer is free for the next draw
+            draw_noise(ri, t + 1)
+            frames[rsu.id] = detect(
+                img, rsu.camera, family, config.bus.tag_size, config.detector
+            )
+        return frames
+
     try:
         for ri in range(len(config.rsus)):
             draw_noise(ri, 0)
         for t in range(config.ticks):
-            # 1. the bus's ground-truth pose, and its screen: a challenge code
-            #    due this tick is already showing
-            bus_pose = config.bus.trajectory.at(t)
-            bus_code = bus_screen(bus_state, t)
-
-            # 2. attackers react to what is on the bus screen right now, so a
-            #    zero-latency mimic is already switched when the frames below
-            #    are captured ("simultaneous" = same tick)
-            for a in config.attackers:
-                seen = bus_code if a.line_of_sight else None
-                res = attacker_step(atk_states[a.id], seen, t)
-                atk_states[a.id] = res.state
-                for name, detail in res.events:
-                    log(t, name, {**detail, "agent": a.id})
-
-            # 3. render + detect per RSU
-            placed = []
-            entity_tag_world = {}
-            specs = [(config.bus.id, config.bus, bus_pose, bus_code)] + [
-                (a.id, a, a.trajectory.at(t), atk_states[a.id].displayed_code)
-                for a in config.attackers
-            ]
-            for eid, spec, planar, code in specs:
-                world = planar_to_world(planar.x, planar.y, planar.yaw) @ spec.mount
-                placed.append(PlacedTag(index=code, tag_size=spec.tag_size, pose=world))
-                entity_tag_world[eid] = world.translation
-
-            frames = {}
-            for ri, rsu in enumerate(config.rsus):
-                img = render_scene(
-                    rsu.camera,
-                    placed,
-                    family,
-                    noise_sigma=config.noise_sigma,
-                    noise=next_noise[ri].result() if noise_pool is not None else None,
-                )
-                # the frame is a copy, so the buffer is free for the next draw
-                draw_noise(ri, t + 1)
-                frames[rsu.id] = detect(
-                    img, rsu.camera, family, config.bus.tag_size, config.detector
-                )
-
-            # 4. deliver messages due this tick
-            inboxes: dict = {}
-            for msg in channel.deliver(t):
-                inboxes.setdefault(msg.receiver, []).append(msg)
-
-            def post(msgs, now):
-                for m in msgs:
-                    deliver_at = channel.send(m, now)
-                    log(
-                        now,
-                        "message",
-                        {
-                            "msg": m,
-                            "deliver_at": deliver_at,
-                            "dropped": deliver_at is None,
-                        },
-                    )
-
-            # 5. RSU state machines
-            for rsu in config.rsus:
-                cam = rsu.camera
-
-                def est_fn(det, _cam=cam, _rid=rsu.id, _t=t):
-                    return _estimate_from_detection(
-                        det, _cam, config.bus.mount, _rid, _t
-                    )
-
-                res = rsu_step(
-                    rsu_states[rsu.id],
-                    inboxes.get(rsu.id, ()),
-                    frames[rsu.id],
-                    t,
-                    rsu.id,
-                    config.bus.id,
-                    estimate_fn=est_fn,
-                )
-                rsu_states[rsu.id] = res.state
-                for name, detail in res.events:
-                    log(t, name, detail)
-                    # ground-truth attribution of unique sync verdicts
-                    if name == "sync_evaluated" and detail["verdict"]["kind"] == "unique":
-                        cam_xyz = np.array(detail["verdict"]["tag_xyz"])
-                        world_xyz = cam.pose.apply(cam_xyz)
-                        best = min(
-                            entity_tag_world,
-                            key=lambda e: float(
-                                np.linalg.norm(entity_tag_world[e] - world_xyz)
-                            ),
-                        )
-                        log(
-                            t,
-                            "sync_attribution",
-                            {"rsu": rsu.id, "entity": best},
-                        )
-                        if best != config.bus.id:
-                            log(t, "attacker_accepted", {"rsu": rsu.id, "entity": best})
-                post(res.outbound, t)
-
-            # 6. bus state machine
-            bres = bus_step(bus_state, inboxes.get(config.bus.id, ()), t, proto_cfg)
-            bus_state = bres.state
-            for name, detail in bres.events:
-                log(t, name, detail)
-            post(bres.outbound, t)
-
+            bus_code, frames = step_session(session, t, see, log, estimate)
             truth.append(
                 {
                     "tick": t,
-                    "bus_pose": bus_pose.to_json_dict(),
+                    "bus_pose": placed_at[config.bus.id][0].to_json_dict(),
                     "bus_screen": bus_code,
                     "attacker_screens": {
-                        a.id: atk_states[a.id].displayed_code for a in config.attackers
+                        aid: a.displayed_code for aid, a in session.attackers.items()
                     },
                     "detections": {
                         rid: [d.code_index for d in dets] for rid, dets in frames.items()
                     },
-                    "bus_phase": bus_state.phase.value,
+                    "bus_phase": session.bus.phase.value,
                 }
             )
     finally:
         if noise_pool is not None:
             noise_pool.shutdown(cancel_futures=True)
 
+    channel = session.channel
     metrics = compute_metrics(events, truth, config)
     metrics["messages_sent"] = channel.sent
     metrics["messages_delivered"] = channel.delivered
     metrics["messages_dropped"] = channel.dropped
     metrics["messages_in_flight"] = channel.sent - channel.delivered - channel.dropped
-    metrics["final_bus_phase"] = bus_state.phase.value
-    metrics["bus_resolved_tick"] = bus_state.resolved_tick
+    metrics["final_bus_phase"] = session.bus.phase.value
+    metrics["bus_resolved_tick"] = session.bus.resolved_tick
 
     cfg_echo = {
         "ticks": config.ticks,

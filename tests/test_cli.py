@@ -13,6 +13,8 @@ from vttag.codes import TagFamily, generate_family
 from vttag.scenarios import make_clone_attack_scenario
 from vttag.transforms import RigidTransform
 
+from test_sim import OUT_OF_RANGE
+
 
 @pytest.fixture()
 def family_path(tmp_path):
@@ -183,12 +185,12 @@ class TestSimRun:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "section, key",
-        [(None, "max_rounds"), (None, "delta_sync"), ("network", "latency")],
+        "section, key, value", OUT_OF_RANGE, ids=[f"{s}-{k}" for s, k, _ in OUT_OF_RANGE]
     )
-    def test_value_below_one_exits_1(self, tmp_path, capsys, section, key):
+    def test_value_below_one_exits_1(self, tmp_path, capsys, section, key, value):
         blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
-        (blob[section] if section else blob)[key] = 0
+        target = blob[section] if section else blob
+        (target[0] if section == "attackers" else target)[key] = value
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(blob))
         assert run_cli([

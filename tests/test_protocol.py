@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from vttag.protocol import (
     resolve_sync,
     rsu_step,
 )
+from vttag.simulate import Channel, Session, step_session
 from vttag.transforms import RigidTransform
 
 
@@ -402,59 +405,49 @@ def test_rsu_transition(state, inbox, codes, now, after, kinds, names, result):
     assert sent == ([result] if result else [])
 
 
+def tracking_frame(bus_code, attacker_code) -> list:
+    """The tracking RSU's detections: the bus's tag at x 0, the attacker's at x 2."""
+    return [fake_det(bus_code, x=0.0), fake_det(attacker_code, x=2.0)]
+
+
 def run_session(latency: int, max_ticks: int = 60):
-    """Full scripted loop with one RSU and one FOLLOWER, network latency 1."""
-    cfg = CFG
-    bus = make_bus_state(2, 30, seed=9)
-    rsu = RsuState()
-    atk = AttackerState(AttackerStrategy.FOLLOWER, displayed_code=2,
-                        reaction_latency=latency)
-    pending = []  # (deliver_at, message)
+    """One RSU and one FOLLOWER on the shared driver, network latency 1."""
+    s = Session(
+        config=CFG, bus=make_bus_state(2, 30, seed=9), rsus={"r0": RsuState()},
+        attackers={"atk": AttackerState(AttackerStrategy.FOLLOWER, 2, latency)},
+        channel=Channel(latency=1, drop=0.0, seed=0),
+    )
     events = []
+
+    def see(t, bus_code, attacker_codes):
+        return {"r0": tracking_frame(bus_code, attacker_codes["atk"])}
+
     for t in range(max_ticks):
-        screen = bus_screen(bus, t)
-        atk = attacker_step(atk, screen, t).state
-        frame = [fake_det(screen, x=0.0), fake_det(atk.displayed_code, x=2.0)]
-        inbox_b = [m for d, m in pending if d == t and m.receiver == "bus"]
-        inbox_r = [m for d, m in pending if d == t and m.receiver == "r0"]
-        pending = [(d, m) for d, m in pending if d > t]
-        rres = rsu_step(rsu, inbox_r, frame, t, "r0", "bus")
-        rsu = rres.state
-        bres = bus_step(bus, inbox_b, t, cfg)
-        bus = bres.state
-        for m in list(rres.outbound) + list(bres.outbound):
-            pending.append((t + 1, m))
-        events += [(t, name, detail) for name, detail in rres.events + bres.events]
-        if bus.phase is BusPhase.FAILED:
+        step_session(s, t, see, lambda *ev: events.append(ev))
+        if s.bus.phase is BusPhase.FAILED:
             break
-    return bus, events
+    return s.bus, events
 
 
 class TestEndToEndWalks:
     def test_honest_run_silent(self):
         # without an attacker: no alerts, no updates, display never changes
-        cfg = CFG
-        bus = make_bus_state(2, 30, seed=9)
-        rsu = RsuState()
-        pending = []
-        all_msgs = []
+        s = Session(
+            config=CFG, bus=make_bus_state(2, 30, seed=9), rsus={"r0": RsuState()},
+            attackers={}, channel=Channel(latency=1, drop=0.0, seed=0),
+        )
+        kinds = set()
+
+        def log(t, name, detail):
+            if name == "message":
+                kinds.add(detail["msg"].kind)
+
         for t in range(30):
-            frame = [fake_det(bus.displayed_code)]
-            inbox_b = [m for d, m in pending if d == t and m.receiver == "bus"]
-            inbox_r = [m for d, m in pending if d == t and m.receiver == "r0"]
-            pending = [(d, m) for d, m in pending if d > t]
-            rres = rsu_step(rsu, inbox_r, frame, t, "r0", "bus")
-            rsu = rres.state
-            bres = bus_step(bus, inbox_b, t, cfg)
-            bus = bres.state
-            msgs = list(rres.outbound) + list(bres.outbound)
-            all_msgs += msgs
-            pending += [(t + 1, m) for m in msgs]
-        kinds = {m.kind for m in all_msgs}
+            step_session(s, t, lambda t, bus_code, _: {"r0": [fake_det(bus_code)]}, log)
         assert MsgKind.CONFUSION_ALERT not in kinds
         assert MsgKind.TAG_UPDATE not in kinds
-        assert bus.displayed_code == 2
-        assert bus.round == 0
+        assert s.bus.displayed_code == 2
+        assert s.bus.round == 0
 
     @pytest.mark.parametrize("latency", [1, 2, 5])
     def test_laggard_follower_resolved_first_round(self, latency):
@@ -470,3 +463,107 @@ class TestEndToEndWalks:
         assert bus.round == CFG.max_rounds
         verdicts = [d["verdict"]["kind"] for t, n, d in events if n == "sync_evaluated"]
         assert verdicts and all(v == "ambiguous" for v in verdicts)
+
+
+class ScriptedChannel:
+    """A channel whose adversary drops or delays each message.
+
+    fates[i] is the delay in ticks of the i-th message sent, or None to
+    drop it; messages past the script take one tick.
+    """
+
+    def __init__(self, fates):
+        self.fates = fates
+        self.queue = []  # (deliver_at, message), in send order
+        self.sent = self.delivered = self.dropped = 0
+
+    def send(self, msg, now):
+        fate = self.fates[self.sent] if self.sent < len(self.fates) else 1
+        self.sent += 1
+        if fate is None:
+            self.dropped += 1
+            return None
+        self.queue.append((now + fate, msg))
+        return now + fate
+
+    def deliver(self, now):
+        due = [m for at, m in self.queue if at == now]
+        self.queue = [(at, m) for at, m in self.queue if at != now]
+        self.delivered += len(due)
+        return due
+
+
+SCHEDULE_TICKS = 40
+
+
+def run_schedule(fates, bystanders, latency, shown):
+    """One session under an adversarial schedule; returns it, its log and a
+    per-tick record of (sent, delivered, dropped, queued) messages.
+
+    Bystander RSUs, inserted into the RSU list at the drawn positions, see
+    nothing. The tracking RSU "r0" sees the bus's tag in every frame.
+    shown[t] is a code the FOLLOWER attacker puts on its screen at tick t:
+    a family index, or "next" for the bus's challenge code in flight (else
+    its next one), since the family is public and the attacker may guess.
+    """
+    rsu_ids = ["r0"]
+    for i, pos in enumerate(bystanders):
+        rsu_ids.insert(pos, f"b{i}")
+    s = Session(
+        config=ProtocolConfig(
+            bus_id="bus", rsu_ids=tuple(rsu_ids), enter_tick=0, leave_tick=32,
+            max_rounds=3, delta_sync=5,
+        ),
+        bus=make_bus_state(2, 30, seed=9),
+        rsus={rid: RsuState() for rid in rsu_ids},
+        attackers={"atk": AttackerState(AttackerStrategy.FOLLOWER, 2, latency)},
+        channel=ScriptedChannel(fates),
+    )
+    events, counts = [], []
+
+    def see(t, bus_code, attacker_codes):
+        frames = {rid: [] for rid in rsu_ids}
+        frames["r0"] = tracking_frame(bus_code, attacker_codes["atk"])
+        return frames
+
+    for t in range(SCHEDULE_TICKS):
+        if t in shown:
+            guess, bus = shown[t], s.bus
+            if guess == "next":
+                guess = bus.pending_display[0] if bus.pending_display else bus.code_pool[0]
+            s.attackers["atk"] = replace(s.attackers["atk"], displayed_code=guess)
+        step_session(s, t, see, lambda *ev: events.append(ev))
+        ch = s.channel
+        counts.append((ch.sent, ch.delivered, ch.dropped, len(ch.queue)))
+    return s, events, counts
+
+
+@given(
+    fates=st.lists(st.one_of(st.none(), st.integers(1, 3)), max_size=80),
+    bystanders=st.lists(st.integers(0, 2), max_size=2),
+    latency=st.integers(0, 5),
+    shown=st.dictionaries(
+        st.integers(0, SCHEDULE_TICKS - 1), st.one_of(st.integers(0, 29), st.just("next"))
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_driver_under_adversarial_schedules(fates, bystanders, latency, shown):
+    s, events, counts = run_schedule(fates, bystanders, latency, shown)
+
+    phases = ["IDLE"] + [d["phase"] for _, name, d in events if name == "phase"]
+    assert all(a != b for a, b in zip(phases, phases[1:]))
+    assert phases[-1] == s.bus.phase.value
+
+    # every posted message is logged once, and none is lost or duplicated
+    posted = [(t, d) for t, name, d in events if name == "message"]
+    assert all(sent == delivered + dropped + queued for sent, delivered, dropped, queued in counts)
+    assert counts[-1][0] == len(posted)
+    assert counts[-1][2] == sum(d["dropped"] for _, d in posted)
+    assert all(d["dropped"] or d["deliver_at"] > t for t, d in posted)
+
+    # attribution by position: the bus's tag is at x 0, the attacker's at x 2
+    unique = [d["verdict"] for _, name, d in events
+              if name == "sync_evaluated" and d["verdict"]["kind"] == "unique"]
+    assert all(v["tag_xyz"][0] == 0.0 for v in unique)
+
+    assert run_schedule(fates, bystanders, latency, shown)[1] == events

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import sys
 import threading
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -115,6 +116,18 @@ def clone(seed, latency) -> ScenarioConfig:
     )
 
 
+# (section, key, value) that a scenario must reject when it is loaded;
+# "attackers" means the first attacker
+OUT_OF_RANGE = [
+    (None, "max_rounds", 0),
+    (None, "delta_sync", 0),
+    ("network", "latency", 0),
+    ("attackers", "reaction_latency", -1),
+    ("bus", "tag_size", 0.0),
+    ("attackers", "tag_size", -0.1),
+]
+
+
 class TestScenarioConfig:
     def test_baseline_builds(self):
         cfg = baseline()
@@ -155,12 +168,12 @@ class TestScenarioConfig:
         assert run_scenario(loaded).report_json() == run_scenario(direct).report_json()
 
     @pytest.mark.parametrize(
-        "section, key",
-        [(None, "max_rounds"), (None, "delta_sync"), ("network", "latency")],
+        "section, key, value", OUT_OF_RANGE, ids=[f"{s}-{k}" for s, k, _ in OUT_OF_RANGE]
     )
-    def test_rejects_values_below_one(self, section, key):
+    def test_rejects_values_below_one(self, section, key, value):
         blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
-        (blob[section] if section else blob)[key] = 0
+        target = blob[section] if section else blob
+        (target[0] if section == "attackers" else target)[key] = value
         with pytest.raises(ScenarioError):
             ScenarioConfig.from_json_dict(blob)
 
@@ -319,15 +332,40 @@ class TestOneEventPerStateChange:
         assert missed[0]["tick"] > challenge["t_act"]
 
 
+# a 640x480 camera that sees neither vehicle
+FAR_RSU = {"id": "rsu_far", "camera": overhead_camera(20.0, 0.0, 700.0, 640, 480)}
+
+
+class TestTracerTargets:
+    """The benchmark's tracer times the agent steps by replacing them at
+    their vttag.simulate names, so the driver must call them there."""
+
+    @pytest.mark.parametrize("bystander, rsu_calls", [(False, 40), (True, 80)])
+    def test_agent_steps_are_looked_up_in_simulate(self, monkeypatch, bystander, rsu_calls):
+        blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
+        if bystander:
+            blob["rsus"] = blob["rsus"] + [FAR_RSU]
+        calls = Counter()
+        for name in ("rsu_step", "bus_step", "attacker_step"):
+            real = getattr(vttag.simulate, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(vttag.simulate, name, counting)
+        run_scenario(ScenarioConfig.from_json_dict(blob))
+        assert calls == {"rsu_step": rsu_calls, "bus_step": 40, "attacker_step": 40}
+
+
 class TestNoisePrefetch:
     """Each camera's next noise field is drawn on a worker thread."""
 
     @pytest.mark.parametrize("bystander", [False, True])
     def test_frames_match_inline_render(self, monkeypatch, bystander):
         blob = make_clone_attack_scenario(seed=3 if bystander else 0, reaction_latency=2)
-        if bystander:  # a 640x480 camera that sees neither vehicle, listed first
-            far = {"id": "rsu_far", "camera": overhead_camera(20.0, 0.0, 700.0, 640, 480)}
-            blob["rsus"] = [far] + blob["rsus"]
+        if bystander:  # listed first
+            blob["rsus"] = [FAR_RSU] + blob["rsus"]
             blob["network"]["drop"] = 0.1
         cfg = ScenarioConfig.from_json_dict(blob)
         rsu_of = {id(r.camera): i for i, r in enumerate(cfg.rsus)}
