@@ -15,9 +15,10 @@ and round, SYNC_APPOINT the instant t_act, which arms the RSU to judge
 its frame of that tick.
 
 All step functions are pure: state in, state out, plus outbound messages
-and log events, returned as one StepResult. Agents never share mutable
-state, and each agent's state is the only record of what its screen
-shows (bus_screen reads the bus's).
+and log events, returned as one StepResult. An event says only what
+happened; the driver that steps the agents stamps it with the tick and
+the agent. Agents never share mutable state, and each agent's state is
+the only record of what its screen shows (bus_screen reads the bus's).
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class MsgKind(enum.Enum):
     SYNC_APPOINT = "SYNC_APPOINT"
     SYNC_RESULT = "SYNC_RESULT"
     CLOSE = "CLOSE"
-    CLOSE_ACK = "CLOSE_ACK"
 
 
 # Required payload keys per message kind (tagged-union discipline).
@@ -74,7 +74,6 @@ _PAYLOAD_FIELDS = {
     MsgKind.SYNC_APPOINT: {"t_act", "round"},
     MsgKind.SYNC_RESULT: {"verdict", "round"},
     MsgKind.CLOSE: set(),
-    MsgKind.CLOSE_ACK: set(),
 }
 
 
@@ -298,14 +297,20 @@ def bus_screen(state: BusState, now: int) -> int:
     return state.displayed_code
 
 
+def _enter(state: BusState, phase: BusPhase, events: list) -> BusState:
+    """state in phase; the only writer of "phase" events, one per change."""
+    if state.phase is not phase:
+        events.append(("phase", {"phase": phase.value}))
+    return replace(state, phase=phase)
+
+
 def _challenge(
     state: BusState, now: int, config: ProtocolConfig, events: list
 ) -> tuple[BusState, list]:
     """Issue a TAG_UPDATE + SYNC_APPOINT pair for the next round."""
     if not state.code_pool:
-        events.append(("code_pool_exhausted", {"tick": now}))
-        events.append(("phase", {"tick": now, "phase": BusPhase.FAILED.value}))
-        return replace(state, phase=BusPhase.FAILED), []
+        events.append(("code_pool_exhausted", {}))
+        return _enter(state, BusPhase.FAILED, events), []
     new_code = state.code_pool[0]
     rnd = state.round + 1
     t_act = now + config.delta_sync
@@ -329,19 +334,11 @@ def _challenge(
                 {"t_act": t_act, "round": rnd},
             )
         )
-    events.append(
-        ("challenge", {"tick": now, "round": rnd, "new_code": new_code, "t_act": t_act})
-    )
-    if state.phase is not BusPhase.SYNC_WAIT:  # a retry round is already in it
-        events.append(("phase", {"tick": now, "phase": BusPhase.SYNC_WAIT.value}))
+    events.append(("challenge", {"round": rnd, "new_code": new_code, "t_act": t_act}))
     nxt = replace(
-        state,
-        phase=BusPhase.SYNC_WAIT,
-        round=rnd,
-        pending_display=(new_code, t_act),
-        code_pool=state.code_pool[1:],
+        state, round=rnd, pending_display=(new_code, t_act), code_pool=state.code_pool[1:]
     )
-    return nxt, out
+    return _enter(nxt, BusPhase.SYNC_WAIT, events), out
 
 
 def bus_step(
@@ -352,9 +349,9 @@ def bus_step(
 ) -> StepResult:
     """One tick of the bus state machine.
 
-    Enter/leave triggers derive from config ticks. POSE_REPORT fusion is
-    left to the caller via the returned events (the reports are surfaced
-    as "pose_report" events); phase logic lives here.
+    Enter/leave triggers derive from config ticks. The POSE_REPORTs of
+    the newest capture tick in the inbox are fused into one "fused_pose"
+    event.
     """
     events: list = []
     out: list = []
@@ -363,9 +360,7 @@ def bus_step(
     # the scheduled challenge code reaches the physical screen at t_act
     if st.pending_display is not None and now >= st.pending_display[1]:
         st = replace(st, displayed_code=st.pending_display[0], pending_display=None)
-        events.append(
-            ("display_switched", {"tick": now, "code": st.displayed_code})
-        )
+        events.append(("display_switched", {"code": st.displayed_code}))
 
     if st.phase is BusPhase.IDLE and now == config.enter_tick:
         for rsu in config.rsu_ids:
@@ -378,8 +373,7 @@ def bus_step(
                     {"client_code": st.displayed_code},
                 )
             )
-        st = replace(st, phase=BusPhase.APPROACHING, pending_acks=config.rsu_ids)
-        events.append(("phase", {"tick": now, "phase": BusPhase.APPROACHING.value}))
+        st = _enter(replace(st, pending_acks=config.rsu_ids), BusPhase.APPROACHING, events)
 
     reports: list = []
     for msg in inbox:
@@ -387,35 +381,14 @@ def bus_step(
             pending = tuple(r for r in st.pending_acks if r != msg.sender)
             st = replace(st, pending_acks=pending)
             if not pending:
-                st = replace(st, phase=BusPhase.LOCALIZING)
-                events.append(
-                    ("phase", {"tick": now, "phase": BusPhase.LOCALIZING.value})
-                )
+                st = _enter(st, BusPhase.LOCALIZING, events)
         elif msg.kind is MsgKind.POSE_REPORT:
             if st.phase in (BusPhase.LOCALIZING, BusPhase.SYNC_WAIT):
                 reports.append(msg.payload["estimate"])
-                events.append(
-                    (
-                        "pose_report",
-                        {
-                            "tick": now,
-                            "source": msg.sender,
-                            "estimate": msg.payload["estimate"],
-                            "code_index": msg.payload["code_index"],
-                        },
-                    )
-                )
         elif msg.kind is MsgKind.CONFUSION_ALERT:
             if st.phase is BusPhase.LOCALIZING:
                 events.append(
-                    (
-                        "confusion_alert",
-                        {
-                            "tick": now,
-                            "source": msg.sender,
-                            "count": msg.payload["count"],
-                        },
-                    )
+                    ("confusion_alert", {"source": msg.sender, "count": msg.payload["count"]})
                 )
                 if st.resolved_tick is None:
                     st, more_out = _challenge(st, now, config, events)
@@ -432,7 +405,6 @@ def bus_step(
                     (
                         "stale_message",
                         {
-                            "tick": now,
                             "kind": msg.kind.value,
                             "round": msg.payload["round"],
                             "expected": st.round,
@@ -444,34 +416,19 @@ def bus_step(
                 continue
             kind = msg.payload["verdict"].kind
             if kind == "unique":
-                st = replace(
-                    st,
-                    phase=BusPhase.LOCALIZING,
-                    resolved_tick=st.resolved_tick
-                    if st.resolved_tick is not None
-                    else now,
-                )
-                events.append(
-                    ("phase", {"tick": now, "phase": BusPhase.LOCALIZING.value})
-                )
-                events.append(
-                    ("sync_resolved", {"tick": now, "round": msg.payload["round"]})
-                )
+                if st.resolved_tick is None:
+                    st = replace(st, resolved_tick=now)
+                st = _enter(st, BusPhase.LOCALIZING, events)
+                events.append(("sync_resolved", {"round": msg.payload["round"]}))
             else:  # ambiguous or absent: retry or give up
                 events.append(
-                    (
-                        "sync_unresolved",
-                        {"tick": now, "round": msg.payload["round"], "kind": kind},
-                    )
+                    ("sync_unresolved", {"round": msg.payload["round"], "kind": kind})
                 )
                 if st.round < config.max_rounds:
                     st, more_out = _challenge(st, now, config, events)
                     out.extend(more_out)
                 else:
-                    st = replace(st, phase=BusPhase.FAILED)
-                    events.append(
-                        ("phase", {"tick": now, "phase": BusPhase.FAILED.value})
-                    )
+                    st = _enter(st, BusPhase.FAILED, events)
 
     if reports:
         # fuse the newest capture-tick's worth of reports into one pose
@@ -482,7 +439,6 @@ def bus_step(
             (
                 "fused_pose",
                 {
-                    "tick": now,
                     "timestamp": latest,
                     "pose": fused.pose.to_json_dict(),
                     "n_views": fused.n_views,
@@ -499,8 +455,7 @@ def bus_step(
     ):
         for rsu in config.rsu_ids:
             out.append(ProtocolMessage(MsgKind.CLOSE, config.bus_id, rsu, now))
-        st = replace(st, phase=BusPhase.LEAVING)
-        events.append(("phase", {"tick": now, "phase": BusPhase.LEAVING.value}))
+        st = _enter(st, BusPhase.LEAVING, events)
 
     return StepResult(state=st, outbound=tuple(out), events=tuple(events))
 
@@ -529,11 +484,10 @@ def rsu_step(
         if msg.kind is MsgKind.INITIATE:
             st = RsuState(client_code=int(msg.payload["client_code"]))
             out.append(ProtocolMessage(MsgKind.INITIATE_ACK, rsu_id, bus_id, now))
-            events.append(("rsu_active", {"tick": now, "rsu": rsu_id}))
+            events.append(("rsu_active", {}))
         elif msg.kind is MsgKind.CLOSE:
             st = RsuState()
-            out.append(ProtocolMessage(MsgKind.CLOSE_ACK, rsu_id, bus_id, now))
-            events.append(("rsu_idle", {"tick": now, "rsu": rsu_id}))
+            events.append(("rsu_idle", {}))
         elif msg.kind is MsgKind.TAG_UPDATE:
             if st.client_code is None:
                 continue
@@ -547,14 +501,7 @@ def rsu_step(
             rnd = int(msg.payload["round"])
             if st.pending is None or st.pending[1] != rnd:
                 events.append(
-                    (
-                        "protocol_violation",
-                        {
-                            "tick": now,
-                            "rsu": rsu_id,
-                            "detail": "SYNC_APPOINT without matching TAG_UPDATE",
-                        },
-                    )
+                    ("protocol_violation", {"detail": "SYNC_APPOINT without matching TAG_UPDATE"})
                 )
                 continue
             st = replace(st, pending=(st.pending[0], rnd, int(msg.payload["t_act"])))
@@ -571,24 +518,14 @@ def rsu_step(
                 {"verdict": verdict, "round": rnd},
             )
         )
-        events.append(
-            (
-                "sync_evaluated",
-                {"tick": now, "rsu": rsu_id, "verdict": verdict.to_json_dict()},
-            )
-        )
+        events.append(("sync_evaluated", {"verdict": verdict.to_json_dict()}))
         st = RsuState(
             client_code=new_code if verdict.kind == "unique" else st.client_code
         )
     elif t_act is not None and now > t_act:
         # the appointment arrived after its instant (network latency above
         # delta_sync): no frame of t_act is left to judge, so drop it
-        events.append(
-            (
-                "sync_missed",
-                {"tick": now, "rsu": rsu_id, "t_act": t_act, "round": rnd},
-            )
-        )
+        events.append(("sync_missed", {"t_act": t_act, "round": rnd}))
         st = RsuState(client_code=st.client_code)
 
     if st.client_code is not None:
@@ -618,9 +555,6 @@ def rsu_step(
                     {"code_index": st.client_code, "count": count},
                 )
             )
-            events.append(
-                ("confusion_detected", {"tick": now, "rsu": rsu_id, "count": count})
-            )
 
     return StepResult(state=st, outbound=tuple(out), events=tuple(events))
 
@@ -649,12 +583,11 @@ def attacker_step(
         events.append(
             (
                 "attacker_scheduled_copy",
-                {"tick": now, "code": int(observed_bus_code),
-                 "apply_at": now + st.reaction_latency},
+                {"code": int(observed_bus_code), "apply_at": now + st.reaction_latency},
             )
         )
     if st.pending_copy is not None and now >= st.pending_copy[1]:
         code = st.pending_copy[0]
         st = replace(st, displayed_code=code, pending_copy=None)
-        events.append(("attacker_copied", {"tick": now, "code": code}))
+        events.append(("attacker_copied", {"code": code}))
     return StepResult(state=st, outbound=(), events=tuple(events))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import Optional
 
@@ -88,16 +88,24 @@ class Trajectory:
             {"tick": t, "x": p.x, "y": p.y, "yaw": p.yaw} for t, p in self.waypoints
         ]
 
+    @cached_property
+    def _arrays(self) -> tuple:
+        """(ticks, xs, ys, unwrapped yaws) of the waypoints, built once."""
+        wps = self.waypoints
+        return (
+            np.array([w[0] for w in wps], dtype=float),
+            np.array([w[1].x for w in wps]),
+            np.array([w[1].y for w in wps]),
+            np.unwrap(np.array([w[1].yaw for w in wps])),
+        )
+
     def at(self, tick: float) -> PlanarPose:
         """Interpolated pose; clamps outside the waypoint range.
 
         Yaw interpolates along the unwrapped angle sequence so a path
         crossing the ±pi seam turns the short way.
         """
-        ts = np.array([w[0] for w in self.waypoints], dtype=float)
-        xs = np.array([w[1].x for w in self.waypoints])
-        ys = np.array([w[1].y for w in self.waypoints])
-        yaws = np.unwrap(np.array([w[1].yaw for w in self.waypoints]))
+        ts, xs, ys, yaws = self._arrays
         t = float(np.clip(tick, ts[0], ts[-1]))
         return PlanarPose(
             float(np.interp(t, ts, xs)),
@@ -251,8 +259,6 @@ class ScenarioConfig:
                 detector=DetectorParams(**det),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ScenarioError):
-                raise
             raise ScenarioError(f"invalid scenario config: {exc}") from exc
 
     @classmethod
@@ -434,35 +440,35 @@ def step_session(s: Session, t: int, see, log, estimate=None) -> tuple:
     see(t, bus_code, attacker_codes) returns the tick's detections per RSU
     id; attacker_codes maps each attacker id to the code it shows.
     log(t, name, detail) receives each agent's events right after it
-    steps, an attacker's with its "agent" id added, then one "message"
-    event per message it posted, with the tick it is due ("deliver_at",
-    None when dropped). estimate(rsu_id, t, det), when given, turns a
-    detection of the bus's code into that RSU's pose report.
+    steps, stamped with who stepped: an RSU's with its "rsu" id, an
+    attacker's with its "agent" id, the bus's with nothing. Then comes one
+    "message" event per message the agent posted, with the tick it is due
+    ("deliver_at", None when dropped). estimate(rsu_id, t, det), when
+    given, turns a detection of the bus's code into that RSU's pose report.
     """
+
+    def record(res, **who):
+        for name, detail in res.events:
+            log(t, name, {**detail, **who})
+        for m in res.outbound:
+            deliver_at = s.channel.send(m, t)
+            log(t, "message", {"msg": m, "deliver_at": deliver_at, "dropped": deliver_at is None})
+        return res.state
+
     bus_code = bus_screen(s.bus, t)
     for aid, atk in s.attackers.items():
         res = attacker_step(atk, None if aid in s.blind else bus_code, t)
-        s.attackers[aid] = res.state
-        for name, detail in res.events:
-            log(t, name, {**detail, "agent": aid})
+        s.attackers[aid] = record(res, agent=aid)
     frames = see(t, bus_code, {aid: a.displayed_code for aid, a in s.attackers.items()})
 
     inboxes: dict = {}
     for msg in s.channel.deliver(t):
         inboxes.setdefault(msg.receiver, []).append(msg)
 
-    def record(res):
-        for name, detail in res.events:
-            log(t, name, detail)
-        for m in res.outbound:
-            deliver_at = s.channel.send(m, t)
-            log(t, "message", {"msg": m, "deliver_at": deliver_at, "dropped": deliver_at is None})
-        return res.state
-
     for rid, rsu in s.rsus.items():
         est = None if estimate is None else partial(estimate, rid, t)
         res = rsu_step(rsu, inboxes.get(rid, ()), frames[rid], t, rid, s.config.bus_id, est)
-        s.rsus[rid] = record(res)
+        s.rsus[rid] = record(res, rsu=rid)
     s.bus = record(bus_step(s.bus, inboxes.get(s.config.bus_id, ()), t, s.config))
     return bus_code, frames
 

@@ -1,6 +1,7 @@
 """Every name the package, its tests and the benchmark harness import is
-used where it is imported, and every name a package module exports in
-__all__ is bound there."""
+used where it is imported, every name a package module exports in
+__all__ is bound there, and no function of the package or the harness
+assigns a local it never reads."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ SOURCES = sorted(
     for p in (ROOT / d).glob("*.py")
     if p.name != "__init__.py"
 )
+FUNCTION_SOURCES = sorted(p for d in ("src/vttag", "bench") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,6 +53,33 @@ def unused_imports(source: str) -> list[str]:
     return [f"{line}: {name}" for name, line in by_line if name not in used]
 
 
+def dead_locals(source: str) -> list[str]:
+    """'line: name' for each name a function binds by plain assignment and
+    never reads.
+
+    A read anywhere in the function counts, in a nested function too, and
+    so does an augmented assignment. Names that start with "_" and the
+    targets of tuple unpacking are exempt.
+    """
+    dead = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    name = getattr(target, "id", None)  # None for a tuple or an attribute
+                    if name and not name.startswith("_") and name not in read:
+                        dead.add((node.lineno, name))
+    return [f"{line}: {name}" for line, name in sorted(dead)]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -79,3 +108,26 @@ def test_unused_import_check_honours_its_exemptions():
         "    return np.zeros(3), loads\n"
     )
     assert unused_imports(source) == ["2: os", "5: dumps"]
+
+
+@pytest.mark.parametrize("path", FUNCTION_SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_dead_locals(path):
+    assert dead_locals(path.read_text()) == []
+
+
+def test_dead_local_check_honours_its_exemptions():
+    source = (
+        "limit = 3\n"
+        "def f(pair):\n"
+        "    a, b = pair\n"
+        "    _scratch = 1\n"
+        "    unread = 2\n"
+        "    total = 0\n"
+        "    total += a\n"
+        "    seen = 4\n"
+        "    def g():\n"
+        "        local = seen\n"
+        "        return seen\n"
+        "    return g()\n"
+    )
+    assert dead_locals(source) == ["5: unread", "10: local"]

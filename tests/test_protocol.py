@@ -302,7 +302,7 @@ class TestRsu:
         res = rsu_step(st, [close], [fake_det(4)], 9, "r0", "bus")
         assert res.state == RsuState()
         kinds = [m.kind for m in res.outbound]
-        assert kinds == [MsgKind.CLOSE_ACK]  # and no further POSE_REPORTs
+        assert kinds == []  # and no further POSE_REPORTs
 
     def test_sync_appoint_without_update_violation(self):
         st = RsuState(client_code=4)
@@ -380,8 +380,8 @@ RSU_TRANSITIONS = {
         ARMED, [], [4], 8, ACTIVE, ["SYNC_RESULT"], ["sync_evaluated"], ("absent", 1),
     ),
     "late_appointment": (UPDATED, [APPOINT_1], [], 9, ACTIVE, [], ["sync_missed"], None),
-    "close": (ACTIVE, [CLOSE], [4], 9, IDLE, ["CLOSE_ACK"], ["rsu_idle"], None),
-    "close_while_armed": (ARMED, [CLOSE], [4], 5, IDLE, ["CLOSE_ACK"], ["rsu_idle"], None),
+    "close": (ACTIVE, [CLOSE], [4], 9, IDLE, [], ["rsu_idle"], None),
+    "close_while_armed": (ARMED, [CLOSE], [4], 5, IDLE, [], ["rsu_idle"], None),
 }
 
 
@@ -455,6 +455,41 @@ class TestEndToEndWalks:
         assert bus.resolved_tick is not None
         assert bus.round == 1
         assert bus.phase is not BusPhase.FAILED
+
+    def test_driver_stamps_tick_and_agent(self):
+        # a bystander listed first sees nothing, so each of its verdicts
+        # is on an empty frame; the tracking RSU always sees both tags
+        s = Session(
+            config=ProtocolConfig(bus_id="bus", rsu_ids=("b0", "r0"), enter_tick=0,
+                                  leave_tick=30),
+            bus=make_bus_state(2, 30, seed=9),
+            rsus={"b0": RsuState(), "r0": RsuState()},
+            attackers={"atk": AttackerState(AttackerStrategy.FOLLOWER, 2, 2)},
+            channel=Channel(latency=1, drop=0.0, seed=0),
+        )
+        logged = []
+
+        def see(t, bus_code, attacker_codes):
+            return {"b0": [], "r0": tracking_frame(bus_code, attacker_codes["atk"])}
+
+        for step in range(40):
+            step_session(s, step, see, lambda t, name, d: logged.append((step, t, name, d)))
+        assert all(t == step and "tick" not in d for step, t, _, d in logged)
+
+        rsu_names = ("rsu_active", "sync_evaluated", "rsu_idle")
+        rsu_events = [(name, d) for *_, name, d in logged if name in rsu_names]
+        assert [(name, d["rsu"]) for name, d in rsu_events if name != "sync_evaluated"] == [
+            ("rsu_active", "b0"), ("rsu_active", "r0"), ("rsu_idle", "b0"), ("rsu_idle", "r0"),
+        ]
+        judged = {(d["rsu"], d["verdict"]["count"] + d["verdict"]["impostors"])
+                  for name, d in rsu_events if name == "sync_evaluated"}
+        assert judged == {("b0", 0), ("r0", 2)}
+
+        copies = [d for *_, name, d in logged if name.startswith("attacker_")]
+        assert copies and all(d["agent"] == "atk" for d in copies)
+        others = [d for *_, name, d in logged
+                  if not name.startswith("attacker_") and name not in rsu_names]
+        assert all("rsu" not in d and "agent" not in d for d in others)
 
     def test_zero_latency_fails_never_accepted(self):
         bus, events = run_session(0)

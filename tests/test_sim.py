@@ -84,10 +84,10 @@ class TestChannel:
     def test_fifo_within_tick(self):
         ch = Channel(latency=2, drop=0.0, seed=0)
         a = ProtocolMessage(MsgKind.CLOSE, "bus", "r0", 0)
-        b = ProtocolMessage(MsgKind.CLOSE_ACK, "r0", "bus", 0)
+        b = ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus", 0)
         ch.send(a, 0)
         ch.send(b, 0)
-        assert [m.kind for m in ch.deliver(2)] == [MsgKind.CLOSE, MsgKind.CLOSE_ACK]
+        assert [m.kind for m in ch.deliver(2)] == [MsgKind.CLOSE, MsgKind.INITIATE_ACK]
 
     def test_conservation(self):
         ch = Channel(latency=1, drop=0.5, seed=7)
