@@ -93,9 +93,11 @@ def _cmd_detect(args) -> None:
         image = Image.load_pgm(img_path)
     except (OSError, ValueError) as exc:
         raise _CliError(f"corrupt image file {args.image}: {exc}") from exc
-    detections = detect(
-        image, camera, family, args.tag_size, DetectorParams(window=args.window)
-    )
+    try:
+        params = DetectorParams(window=args.window)
+        detections = detect(image, camera, family, args.tag_size, params)
+    except ValueError as exc:  # a window or tag size out of range
+        raise _CliError(str(exc)) from exc
     report = [d.to_json_dict() for d in detections]
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
 

@@ -11,8 +11,10 @@ pixels rather than gradient-based refinement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -48,6 +50,17 @@ class DetectorParams:
     fill_max: float = 1.15  # and upper bound
     min_contrast: float = 30.0  # white-border minus black-border sample mean, gray levels
     t_max: Optional[int] = None  # bit-correction budget; None = family radius
+
+    def __post_init__(self):
+        if not isinstance(self.window, Integral) or self.window < 1:
+            raise ValueError("window must be an integer >= 1")
+        for name in ("offset", "min_area", "fill_min", "fill_max", "min_contrast"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.t_max is not None and (
+            not isinstance(self.t_max, Integral) or self.t_max < 0
+        ):
+            raise ValueError("t_max must be None or an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -137,11 +150,20 @@ def binarize(image: Image, window: int = 15, offset: float = 10.0) -> Image:
     window-area table cached per (height, width, window). An integral offset
     is tested as (px + offset) * area < sum, in integers; any other offset
     against sum / area - offset, in float64.
+
+    A frame whose grey range max - min is at most offset (an empty frame
+    too) has no foreground, so it gets an all-zero mask without any window
+    sums: every clipped window mean is at most max <= min + offset <=
+    px + offset. The float64 test agrees, since rounding is monotone and
+    max and min are representable: sum / area rounds to at most max, and
+    max - offset to at most min. A NaN offset fails the comparison.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     px = image.pixels
     h, w = px.shape
+    if px.size == 0 or int(px.max()) - int(px.min()) <= offset:
+        return Image(np.zeros((h, w), dtype=np.uint8))
     acc = _sum_type(h, w)
     sums = _window_sums(_window_sums(px, window, acc).T, window, acc).T
     area = _window_areas(h, w, window)
@@ -555,7 +577,10 @@ def detect(
 
     Quads that fail to decode within the correction budget are dropped
     silently. Detections come back sorted by (code_index, reproj_err).
+    Raises ValueError unless tag_size is positive and finite.
     """
+    if not 0 < tag_size < math.inf:
+        raise ValueError("tag_size must be positive")
     binary = binarize(image, window=params.window, offset=params.offset)
     quads = extract_quads(
         binary,

@@ -16,6 +16,7 @@ detected and stepped; frames are the same to the bit.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -133,7 +134,7 @@ class VehicleSpec:
     leave_tick: int
 
     def __post_init__(self):
-        if self.tag_size <= 0:
+        if not 0 < self.tag_size < math.inf:
             raise ScenarioError(f"tag_size of {self.id} must be positive")
 
 
@@ -151,7 +152,7 @@ class AttackerSpec:
     def __post_init__(self):
         if self.reaction_latency < 0:
             raise ScenarioError(f"reaction_latency of {self.id} must be >= 0")
-        if self.tag_size <= 0:
+        if not 0 < self.tag_size < math.inf:
             raise ScenarioError(f"tag_size of {self.id} must be positive")
 
 
@@ -200,6 +201,8 @@ class ScenarioConfig:
             raise ScenarioError("max_rounds must be >= 1")
         if self.delta_sync < 1:
             raise ScenarioError("delta_sync must be >= 1")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ScenarioError("noise_sigma must be finite and >= 0")
         ids = [r.id for r in self.rsus] + [a.id for a in self.attackers] + [self.bus.id]
         if len(set(ids)) != len(ids):
             raise ScenarioError("agent ids must be unique")

@@ -13,7 +13,7 @@ from vttag.codes import TagFamily, generate_family
 from vttag.scenarios import make_clone_attack_scenario
 from vttag.transforms import RigidTransform
 
-from test_sim import OUT_OF_RANGE
+from test_sim import OUT_OF_RANGE, OUT_OF_RANGE_IDS
 
 
 @pytest.fixture()
@@ -124,6 +124,19 @@ class TestDetect:
         ]) == 0
         assert json.loads(capsys.readouterr().out) == []
 
+    @pytest.mark.parametrize(
+        "option, value", [("--window", "0"), ("--tag-size", "0"), ("--tag-size", "nan")]
+    )
+    def test_out_of_range_setting_exits_1(self, family_path, tmp_path, capsys, option, value):
+        img_path, cam_path = self._scene(tmp_path)
+        # argparse keeps the last of a repeated option
+        assert run_cli([
+            "detect", "--image", str(img_path), "--family", str(family_path),
+            "--camera", str(cam_path), "--tag-size", "0.6", option, value,
+            "--out", "-",
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_image_exits_1(self, family_path, tmp_path, capsys):
         _, cam_path = self._scene(tmp_path)
         assert run_cli([
@@ -185,11 +198,11 @@ class TestSimRun:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "section, key, value", OUT_OF_RANGE, ids=[f"{s}-{k}" for s, k, _ in OUT_OF_RANGE]
+        "section, key, value", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS
     )
     def test_value_below_one_exits_1(self, tmp_path, capsys, section, key, value):
         blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
-        target = blob[section] if section else blob
+        target = blob.setdefault(section, {}) if section else blob
         (target[0] if section == "attackers" else target)[key] = value
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(blob))

@@ -170,6 +170,36 @@ class TestBinarize:
         with pytest.raises(ValueError):
             binarize(Image(np.zeros((10, 10), dtype=np.uint8)), window=0)
 
+    @pytest.mark.parametrize(
+        "offset, grey_range",
+        [(10.0, 9), (10.0, 10), (10.0, 11), (7.5, 6), (7.5, 7), (7.5, 8), (0.0, 0), (0.0, 1),
+         (-2.0, 0),  # a uniform frame, all foreground at offset -2
+         (-2.0, 1)],
+    )
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_two_level_frames_at_the_range_bound(self, offset, grey_range, window):
+        # a range at most the offset takes the early exit, one above it the
+        # window sums; both must give the brute-force mask. Sparse dark pixels
+        # keep their windows' means close to the bright level.
+        rng = np.random.default_rng(grey_range)
+        px = np.where(rng.random((12, 17)) < 0.1, 100, 100 + grey_range).astype(np.uint8)
+        got = binarize(Image(px), window=window, offset=offset).pixels
+        assert np.array_equal(got, _brute_force_binarize(px, window, offset))
+        if grey_range <= offset:
+            assert not got.any()
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    def test_zero_size_frame_empty_mask(self, shape):
+        px = np.zeros(shape, dtype=np.uint8)
+        got = binarize(Image(px)).pixels
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, _brute_force_binarize(px, 15, 10.0))
+
+    @pytest.mark.parametrize("shape", [(10, 10), (0, 5)])
+    def test_window_validated_before_the_range_bound(self, shape):
+        with pytest.raises(ValueError):
+            binarize(Image(np.full(shape, 96, dtype=np.uint8)), window=0)
+
 
 class TestExtractQuads:
     def test_clean_square(self):
@@ -353,6 +383,12 @@ class TestDetect:
         assert dets[0].code_index == 5
         assert dets[0].rotation == quarter_turns
         assert dets[0].rotation_deg == quarter_turns * 90
+
+    @pytest.mark.parametrize("tag_size", [0.0, float("nan"), -0.7])
+    def test_rejects_bad_tag_size(self, camera, family, tag_size):
+        img = render_scene(camera, [fronto_tag(11)], family)
+        with pytest.raises(ValueError, match="tag_size must be positive"):
+            detect(img, camera, family, tag_size)
 
     def test_empty_image_no_detections(self, camera, family):
         img = Image(np.full((240, 320), 96, dtype=np.uint8))

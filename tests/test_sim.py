@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import vttag.detector
 import vttag.simulate
 from vttag.errors import ScenarioError
 from vttag.localization import PlanarPose
@@ -125,6 +126,20 @@ OUT_OF_RANGE = [
     ("attackers", "reaction_latency", -1),
     ("bus", "tag_size", 0.0),
     ("attackers", "tag_size", -0.1),
+    ("bus", "tag_size", float("nan")),
+    (None, "noise_sigma", -1.0),
+    (None, "noise_sigma", float("nan")),
+    # the clone scenario has no "detector" section; these cases add one
+    ("detector", "window", 0),
+    ("detector", "window", 15.5),
+    ("detector", "t_max", -1),
+    ("detector", "offset", float("nan")),
+    ("detector", "min_contrast", float("nan")),
+]
+# pytest ids: "section-key", with "=value" after the first case of a key
+OUT_OF_RANGE_IDS = [
+    f"{s}-{k}" + (f"={v}" if (s, k) in [c[:2] for c in OUT_OF_RANGE[:i]] else "")
+    for i, (s, k, v) in enumerate(OUT_OF_RANGE)
 ]
 
 
@@ -168,11 +183,11 @@ class TestScenarioConfig:
         assert run_scenario(loaded).report_json() == run_scenario(direct).report_json()
 
     @pytest.mark.parametrize(
-        "section, key, value", OUT_OF_RANGE, ids=[f"{s}-{k}" for s, k, _ in OUT_OF_RANGE]
+        "section, key, value", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS
     )
     def test_rejects_values_below_one(self, section, key, value):
         blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
-        target = blob[section] if section else blob
+        target = blob.setdefault(section, {}) if section else blob
         (target[0] if section == "attackers" else target)[key] = value
         with pytest.raises(ScenarioError):
             ScenarioConfig.from_json_dict(blob)
@@ -356,6 +371,33 @@ class TestTracerTargets:
             monkeypatch.setattr(vttag.simulate, name, counting)
         run_scenario(ScenarioConfig.from_json_dict(blob))
         assert calls == {"rsu_step": rsu_calls, "bus_step": 40, "attacker_step": 40}
+
+
+class TestTagFreeFrames:
+    def test_bystander_frames_skip_the_window_sums(self, monkeypatch):
+        # a lossy_multi_rsu session: sigma 1 keeps the bystander's grey range
+        # within the 10-level offset, so binarize needs no window sums there
+        blob = make_clone_attack_scenario(seed=3, reaction_latency=2)
+        blob["rsus"] = [FAR_RSU] + blob["rsus"]
+        blob["network"]["drop"] = 0.1
+        frames = []  # [frame shape, _window_sums calls] per binarize call
+        real_binarize, real_sums = vttag.detector.binarize, vttag.detector._window_sums
+
+        def recording_binarize(image, *args, **kwargs):
+            frames.append([image.pixels.shape, 0])
+            return real_binarize(image, *args, **kwargs)
+
+        def counting_sums(*args):
+            frames[-1][1] += 1
+            return real_sums(*args)
+
+        monkeypatch.setattr(vttag.detector, "binarize", recording_binarize)
+        monkeypatch.setattr(vttag.detector, "_window_sums", counting_sums)
+        run_scenario(ScenarioConfig.from_json_dict(blob))
+        assert Counter((shape, calls) for shape, calls in frames) == {
+            ((480, 640), 0): 40,
+            ((180, 240), 2): 40,
+        }
 
 
 class TestNoisePrefetch:
