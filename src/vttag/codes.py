@@ -162,6 +162,22 @@ class TagFamily:
                 c = rotate90(c)
         return table
 
+    @cached_property
+    def _cell_grids(self) -> np.ndarray:
+        """Gray cell grids of the tags as drawn, shape (len, n+4, n+4), read-only.
+
+        Each is a white outer ring, a black ring and the payload (white
+        cells 255, black 0). The renderer reads them here, built once per
+        family.
+        """
+        n = self.n
+        grids = np.full((len(self.codes), n + 4, n + 4), 255, dtype=np.uint8)
+        grids[:, 1:-1, 1:-1] = 0
+        for grid, code in zip(grids, self.codes):
+            grid[2:-2, 2:-2][code.to_array()] = 255
+        grids.flags.writeable = False
+        return grids
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

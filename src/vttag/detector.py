@@ -371,109 +371,144 @@ def extract_quads(
     return quads
 
 
-def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Similarity transform taking pts to centroid 0 and RMS radius sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    rms = np.sqrt(((pts - centroid) ** 2).sum(axis=1).mean())
-    if rms < 1e-12:
-        raise DegenerateGeometry("point set collapses to a single point")
-    s = np.sqrt(2.0) / rms
-    T = np.array(
-        [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
-    )
-    return (pts - centroid) * s, T
+def _mask_non_finite(a: np.ndarray, fill=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """A stack (q, ...) with each non-finite member replaced by `fill`, and the finite mask.
+
+    One NaN or infinite member would make LAPACK fail the whole stack, or
+    warn, so the stacked stages compute on `fill` there and mask it out.
+    """
+    finite = np.isfinite(a).reshape(len(a), -1).all(axis=1)
+    if not finite.all():
+        a = np.where(finite.reshape((-1,) + (1,) * (a.ndim - 1)), a, fill)
+    return a, finite
+
+
+def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Similarity transforms taking each point set of a (q, k, 2) stack to centroid 0 and RMS radius sqrt(2).
+
+    Returns (normalized points, transforms (q, 3, 3), ok); ok is False for a
+    set that collapses to a single point or holds a non-finite point, whose
+    points and transform are then meaningless.
+    """
+    pts, ok = _mask_non_finite(pts)
+    centroid = pts.mean(axis=1)
+    d = pts - centroid[:, None]
+    rms = np.sqrt((d**2).sum(axis=2).mean(axis=1))
+    ok &= rms >= 1e-12
+    s = np.sqrt(2.0) / np.where(ok, rms, 1.0)
+    T = np.zeros((len(pts), 3, 3))
+    T[:, 0, 0] = T[:, 1, 1] = s
+    T[:, :2, 2] = -s[:, None] * centroid
+    T[:, 2, 2] = 1.0
+    return d * s[:, None, None], T, ok
 
 
 def estimate_homography(plane_pts, img_pts) -> np.ndarray:
     """Hartley-normalized direct linear transform from >= 4 correspondences.
 
-    Returns H with H[2,2] scaled to 1 where that entry is nonzero.
-    Raises DegenerateGeometry when the system has rank < 8 (e.g. collinear
-    plane points).
+    img_pts is one point set (k, 2) or a stack of them (q, k, 2); plane_pts
+    is one set, shared by the stack, or a stack of the same shape. Returns
+    H, or a (q, 3, 3) stack, with H[2,2] scaled to 1 where that entry is
+    nonzero. One point set raises DegenerateGeometry when a set collapses
+    to a single point or holds a non-finite point, or when the system has
+    rank < 8 (e.g. collinear plane points). In a stack such a member's H is
+    all NaN instead, and every other member is as if fitted alone.
     """
-    plane_pts = np.asarray(plane_pts, dtype=float).reshape(-1, 2)
-    img_pts = np.asarray(img_pts, dtype=float).reshape(-1, 2)
-    if len(plane_pts) != len(img_pts) or len(plane_pts) < 4:
+    img = np.asarray(img_pts, dtype=float)
+    single = img.ndim < 3
+    if single:
+        img = img.reshape(1, -1, 2)
+    plane = np.asarray(plane_pts, dtype=float)
+    if plane.ndim < 3:
+        plane = plane.reshape(1, -1, 2)  # one set, normalized once for the stack
+    if plane.shape[1] != img.shape[1] or img.shape[1] < 4:
         raise ValueError("need >= 4 point correspondences")
-    pn, Tp = _normalize_points(plane_pts)
-    qn, Tq = _normalize_points(img_pts)
+    q, k = img.shape[:2]
+    pn, Tp, plane_ok = _normalize_points(plane)
+    qn, Tq, ok = _normalize_points(img)
+    ok &= plane_ok
+    Tp = np.broadcast_to(Tp, (q, 3, 3))
 
-    k = len(pn)
-    A = np.zeros((2 * k, 9))
-    x, y = pn[:, 0], pn[:, 1]
-    u, v = qn[:, 0], qn[:, 1]
-    A[0::2, 0] = x
-    A[0::2, 1] = y
-    A[0::2, 2] = 1.0
-    A[0::2, 6] = -u * x
-    A[0::2, 7] = -u * y
-    A[0::2, 8] = -u
-    A[1::2, 3] = x
-    A[1::2, 4] = y
-    A[1::2, 5] = 1.0
-    A[1::2, 6] = -v * x
-    A[1::2, 7] = -v * y
-    A[1::2, 8] = -v
+    A = np.zeros((q, 2 * k, 9))
+    x, y = pn[..., 0], pn[..., 1]
+    u, v = qn[..., 0], qn[..., 1]
+    A[:, 0::2, 0] = x
+    A[:, 0::2, 1] = y
+    A[:, 0::2, 2] = 1.0
+    A[:, 0::2, 6] = -u * x
+    A[:, 0::2, 7] = -u * y
+    A[:, 0::2, 8] = -u
+    A[:, 1::2, 3] = x
+    A[:, 1::2, 4] = y
+    A[:, 1::2, 5] = 1.0
+    A[:, 1::2, 6] = -v * x
+    A[:, 1::2, 7] = -v * y
+    A[:, 1::2, 8] = -v
 
-    _, s, Vt = np.linalg.svd(A)
-    if s[0] < 1e-12 or s[7] / s[0] < 1e-10:
-        raise DegenerateGeometry("correspondences are rank deficient")
-    Hn = Vt[-1].reshape(3, 3)
-    H = np.linalg.inv(Tq) @ Hn @ Tp
-    if abs(H[2, 2]) > 1e-12:
-        H = H / H[2, 2]
+    H = np.full((q, 3, 3), np.nan)
+    idx = np.flatnonzero(ok)
+    if idx.size:
+        _, s, Vt = np.linalg.svd(A[idx])
+        # rank < 8 when s[0] < 1e-12 or s[7] / s[0] < 1e-10
+        small = s[:, 0] < 1e-12
+        full = ~small & ~(s[:, 7] / np.where(small, 1.0, s[:, 0]) < 1e-10)
+        idx = idx[full]
+        Hn = Vt[full, -1].reshape(-1, 3, 3)
+        Hs = np.linalg.inv(Tq[idx]) @ Hn @ Tp[idx]
+        z = Hs[:, 2, 2]
+        scaled = np.abs(z) > 1e-12
+        Hs[scaled] /= z[scaled, None, None]
+        H[idx] = Hs
+    if single:
+        if not ok[0]:
+            raise DegenerateGeometry("point set collapses to a single point or is not finite")
+        if np.isnan(H[0, 2, 2]):
+            raise DegenerateGeometry("correspondences are rank deficient")
+        return H[0]
     return H
 
 
-def _apply_h(H: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    hom = np.column_stack([pts, np.ones(len(pts))]) @ H.T
-    return hom[:, :2] / hom[:, 2:3]
-
-
 @lru_cache(maxsize=None)
-def _grid_centers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample points in border-square coords: payload cells, black ring, white ring.
+def _grid_centers(n: int) -> tuple[np.ndarray, int, int]:
+    """Sample points in homogeneous border-square coords (x, y, 1), with two counts.
 
-    Built once per n; the arrays are shared, so they are read-only.
+    The points are the payload cells, then the black ring, then the white
+    ring; the counts are those of the payload and of the black ring. Built
+    once per n; the array is shared, so it is read-only.
     """
     cell = 2.0 / (n + 2)
 
-    def center(i: float, j: float) -> tuple[float, float]:
+    def center(i: float, j: float) -> tuple[float, float, float]:
         # (i, j) indexes the (n+2) black-border grid; payload is the inner n x n
-        return (-1.0 + (j + 0.5) * cell, 1.0 - (i + 0.5) * cell)
+        return (-1.0 + (j + 0.5) * cell, 1.0 - (i + 0.5) * cell, 1.0)
 
-    payload = np.array(
-        [center(i + 1, j + 1) for i in range(n) for j in range(n)]
-    )
-    black = np.array(
-        [
-            center(i, j)
-            for i in range(n + 2)
-            for j in range(n + 2)
-            if i in (0, n + 1) or j in (0, n + 1)
-        ]
-    )
-    white = np.array(
-        [
-            center(i, j)
-            for i in range(-1, n + 3)
-            for j in range(-1, n + 3)
-            if i in (-1, n + 2) or j in (-1, n + 2)
-        ]
-    )
-    for points in (payload, black, white):
-        points.flags.writeable = False
-    return payload, black, white
+    payload = [center(i + 1, j + 1) for i in range(n) for j in range(n)]
+    black = [
+        center(i, j)
+        for i in range(n + 2)
+        for j in range(n + 2)
+        if i in (0, n + 1) or j in (0, n + 1)
+    ]
+    white = [
+        center(i, j)
+        for i in range(-1, n + 3)
+        for j in range(-1, n + 3)
+        if i in (-1, n + 2) or j in (-1, n + 2)
+    ]
+    points = np.array(payload + black + white)
+    points.flags.writeable = False
+    return points, len(payload), len(black)
 
 
 def _bilinear_sample(px: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear sample at continuous pixel coords; nearest-pixel fallback outside.
+    """Bilinear sample at continuous pixel coords (..., 2); nearest-pixel fallback outside.
 
-    Returns (values, inside_mask).
+    Returns (values, inside_mask). The corner pixels are gathered from the
+    uint8 frame; each converts to float64 exactly in the products.
     """
     h, w = px.shape
-    x = uv[:, 0] - 0.5
-    y = uv[:, 1] - 0.5
+    x = uv[..., 0] - 0.5
+    y = uv[..., 1] - 0.5
     inside = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
     xc = np.clip(x, 0, w - 1)
     yc = np.clip(y, 0, h - 1)
@@ -483,33 +518,33 @@ def _bilinear_sample(px: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.nda
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xc - x0
     fy = yc - y0
-    p = px.astype(float)
     vals = (
-        p[y0, x0] * (1 - fx) * (1 - fy)
-        + p[y0, x1] * fx * (1 - fy)
-        + p[y1, x0] * (1 - fx) * fy
-        + p[y1, x1] * fx * fy
+        px[y0, x0] * (1 - fx) * (1 - fy)
+        + px[y0, x1] * fx * (1 - fy)
+        + px[y1, x0] * (1 - fx) * fy
+        + px[y1, x1] * fx * fy
     )
     return vals, inside
 
 
-def _sample_payload_stats(
+def _sample_grids(
     image: Image, H: np.ndarray, n: int
-) -> tuple[TagCode, float, float]:
-    """sample_payload plus the black/white border reference means."""
-    payload, black, white = _grid_centers(n)
-    all_pts = np.vstack([payload, black, white])
-    uv = _apply_h(H, all_pts)
-    vals, inside = _bilinear_sample(image.pixels, uv)
-    if not inside.any():
-        raise SamplingFailed("payload sampling grid lies outside the image")
-    np_, nb = len(payload), len(black)
-    pv = vals[:np_]
-    black_mean = float(vals[np_ : np_ + nb].mean())
-    white_mean = float(vals[np_ + nb :].mean())
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Payload bits and border reference means through a (q, 3, 3) stack of homographies.
+
+    Returns (bits (q, n*n), black-ring means, white-ring means, sampled);
+    sampled is False for a member that is not finite or whose whole
+    sampling grid misses the image.
+    """
+    points, n_payload, n_black = _grid_centers(n)
+    H, finite = _mask_non_finite(H, fill=np.eye(3))
+    hom = points @ H.transpose(0, 2, 1)
+    vals, inside = _bilinear_sample(image.pixels, hom[..., :2] / hom[..., 2:3])
+    black_mean = vals[:, n_payload : n_payload + n_black].mean(axis=1)
+    white_mean = vals[:, n_payload + n_black :].mean(axis=1)
     threshold = (black_mean + white_mean) / 2.0
-    code = TagCode(n, tuple(bool(v > threshold) for v in pv))
-    return code, black_mean, white_mean
+    bits = vals[:, :n_payload] > threshold[:, None]
+    return bits, black_mean, white_mean, finite & inside.any(axis=1)
 
 
 def sample_payload(image: Image, H: np.ndarray, n: int) -> TagCode:
@@ -517,53 +552,84 @@ def sample_payload(image: Image, H: np.ndarray, n: int) -> TagCode:
 
     The bit threshold is the midpoint between the means of samples taken at
     black-border and white-border cell centers, so it adapts per tag.
-    Raises SamplingFailed when the whole sampling grid misses the image.
+    Raises SamplingFailed when H is not finite or the whole sampling grid
+    misses the image.
     """
-    return _sample_payload_stats(image, H, n)[0]
+    bits, _, _, sampled = _sample_grids(image, np.asarray(H, dtype=float)[None], n)
+    if not sampled[0]:
+        raise SamplingFailed("payload sampling grid lies outside the image")
+    return TagCode(n, tuple(bits[0].tolist()))
 
 
 def pose_from_homography(
     H: np.ndarray, camera: CameraModel, tag_size: float
-) -> RigidTransform:
+) -> RigidTransform | list[Optional[RigidTransform]]:
     """Tag-to-camera pose from a border-square ([-1,1]^2) to pixels homography.
 
     tag_size rescales the normalized square to meters. The rotation block is
     re-orthonormalized via SVD with determinant forced to +1; the scale sign
-    is chosen so the tag sits in front of the camera (z > 0).
+    is chosen so the tag sits in front of the camera (z > 0). One H gives a
+    RigidTransform, and raises DegenerateGeometry when it is not finite or
+    its first two columns vanish. A (q, 3, 3) stack gives a list of q
+    poses, with None for such a member.
     """
+    H = np.asarray(H, dtype=float)
+    single = H.ndim == 2
+    Hs, ok = _mask_non_finite(H.reshape(-1, 3, 3))
     # normalized [-1,1]^2 coords -> metric tag-plane coords
-    Hm = H @ np.diag([2.0 / tag_size, 2.0 / tag_size, 1.0])
+    Hm = Hs @ np.diag([2.0 / tag_size, 2.0 / tag_size, 1.0])
     M = np.linalg.inv(camera.intrinsic_matrix) @ Hm
-    n1 = np.linalg.norm(M[:, 0])
-    n2 = np.linalg.norm(M[:, 1])
-    if n1 < 1e-12 or n2 < 1e-12:
-        raise DegenerateGeometry("homography columns vanish")
-    s = 2.0 / (n1 + n2)
-    if (s * M[:, 2])[2] < 0:
-        s = -s
-    r1 = s * M[:, 0]
-    r2 = s * M[:, 1]
-    r3 = np.cross(r1, r2)
-    R0 = np.column_stack([r1, r2, r3])
-    U, _, Vt = np.linalg.svd(R0)
-    d = np.sign(np.linalg.det(U @ Vt))
-    R = U @ np.diag([1.0, 1.0, d]) @ Vt
-    return RigidTransform(R, s * M[:, 2])
+    # each column's length is a 1x3 @ 3x1 product, the same BLAS dot as
+    # np.linalg.norm of that column
+    cols = M[:, :, :2].transpose(0, 2, 1).copy()
+    norms = np.sqrt(cols[..., None, :] @ cols[..., :, None])[..., 0, 0]
+    ok &= (norms >= 1e-12).all(axis=1)
+
+    poses = [None] * len(M)
+    idx = np.flatnonzero(ok)
+    if idx.size:
+        M = M[idx]
+        s = 2.0 / norms[idx].sum(axis=1)
+        s = np.where(s * M[:, 2, 2] < 0, -s, s)
+        R0 = np.empty_like(M)
+        R0[:, :, :2] = s[:, None, None] * M[:, :, :2]
+        r1, r2 = R0[:, :, 0], R0[:, :, 1]
+        # r1 x r2, each term in np.cross's order
+        R0[:, 0, 2] = r1[:, 1] * r2[:, 2] - r1[:, 2] * r2[:, 1]
+        R0[:, 1, 2] = r1[:, 2] * r2[:, 0] - r1[:, 0] * r2[:, 2]
+        R0[:, 2, 2] = r1[:, 0] * r2[:, 1] - r1[:, 1] * r2[:, 0]
+        U, _, Vt = np.linalg.svd(R0)
+        D = np.zeros_like(U)
+        D[:, 0, 0] = D[:, 1, 1] = 1.0
+        D[:, 2, 2] = np.sign(np.linalg.det(U @ Vt))
+        R = U @ D @ Vt
+        t = s[:, None] * M[:, :, 2]
+        for j, i in enumerate(idx):
+            poses[i] = RigidTransform(R[j], t[j])
+    if single:
+        if poses[0] is None:
+            raise DegenerateGeometry("homography columns vanish or are not finite")
+        return poses[0]
+    return poses
 
 
 def _reprojection_rms(
-    pose: RigidTransform, camera: CameraModel, tag_size: float, corners: np.ndarray
-) -> float:
+    poses: list, camera: CameraModel, tag_size: float, corners: np.ndarray
+) -> np.ndarray:
+    """RMS corner residual, px, of each pose against its (4, 2) corners."""
     half = tag_size / 2.0
     local = np.column_stack([BORDER_UNIT_CORNERS * half, np.zeros(4)])
-    cam_pts = pose.apply(local)
-    uv = np.column_stack(
+    R = np.stack([p.rotation for p in poses])
+    t = np.stack([p.translation for p in poses])
+    cam_pts = local @ R.transpose(0, 2, 1) + t[:, None, :]
+    uv = np.stack(
         [
-            camera.fx * cam_pts[:, 0] / cam_pts[:, 2] + camera.cx,
-            camera.fy * cam_pts[:, 1] / cam_pts[:, 2] + camera.cy,
-        ]
+            camera.fx * cam_pts[..., 0] / cam_pts[..., 2] + camera.cx,
+            camera.fy * cam_pts[..., 1] / cam_pts[..., 2] + camera.cy,
+        ],
+        axis=-1,
     )
-    return float(np.sqrt(((uv - corners) ** 2).sum(axis=1).mean()))
+    return np.sqrt(((uv - corners) ** 2).sum(axis=2).mean(axis=1))
 
 
 def detect(
@@ -577,6 +643,8 @@ def detect(
 
     Quads that fail to decode within the correction budget are dropped
     silently. Detections come back sorted by (code_index, reproj_err).
+    Each stage after extract_quads runs once over the stack of the quads
+    still standing, except decode_code, which runs per quad.
     Raises ValueError unless tag_size is positive and finite.
     """
     if not 0 < tag_size < math.inf:
@@ -588,39 +656,44 @@ def detect(
         fill_min=params.fill_min,
         fill_max=params.fill_max,
     )
+    if not quads:
+        return []
+    corners = np.stack([quad.corners for quad in quads])
+    H = estimate_homography(BORDER_UNIT_CORNERS, corners)
+    fitted = np.flatnonzero(~np.isnan(H[:, 2, 2]))
+    bits, black_mean, white_mean, sampled = _sample_grids(image, H[fitted], family.n)
+    # a real tag shows its white border clearly brighter than its black one
+    kept = sampled & ~(white_mean - black_mean < params.min_contrast)
+    decoded = []  # (quad index, DecodeResult)
+    for i, b in zip(fitted[kept], bits[kept]):
+        res = decode_code(TagCode(family.n, tuple(b.tolist())), family, params.t_max)
+        if res is not None:
+            decoded.append((i, res))
+    if not decoded:
+        return []
+    # re-fit so each homography maps the *decoded* tag frame to pixels;
+    # np.roll(c, r, axis=0)[k] is c[(k - r) % 4]
+    quad_idx = np.array([i for i, _ in decoded])
+    turns = np.array([res.rotation for _, res in decoded])
+    rolled = corners[quad_idx[:, None], (np.arange(4) - turns[:, None]) % 4]
+    poses = pose_from_homography(
+        estimate_homography(BORDER_UNIT_CORNERS, rolled), camera, tag_size
+    )
+    front = [j for j, pose in enumerate(poses) if pose is not None and pose.translation[2] > 0]
+    if not front:
+        return []
+    errs = _reprojection_rms([poses[j] for j in front], camera, tag_size, rolled[front])
     detections = []
-    for quad in quads:
-        try:
-            H = estimate_homography(BORDER_UNIT_CORNERS, quad.corners)
-            observed, black_mean, white_mean = _sample_payload_stats(
-                image, H, family.n
-            )
-        except (DegenerateGeometry, SamplingFailed):
-            continue
-        # a real tag shows its white border clearly brighter than its black one
-        if white_mean - black_mean < params.min_contrast:
-            continue
-        res = decode_code(observed, family, params.t_max)
-        if res is None:
-            continue
-        # re-fit so the homography maps the *decoded* tag frame to pixels
-        rolled = np.roll(quad.corners, res.rotation, axis=0)
-        try:
-            H2 = estimate_homography(BORDER_UNIT_CORNERS, rolled)
-            pose = pose_from_homography(H2, camera, tag_size)
-        except DegenerateGeometry:
-            continue
-        if pose.translation[2] <= 0:
-            continue
-        err = _reprojection_rms(pose, camera, tag_size, rolled)
+    for j, err in zip(front, errs):
+        i, res = decoded[j]
         detections.append(
             Detection(
-                quad=quad,
+                quad=quads[i],
                 code_index=res.index,
                 rotation=res.rotation,
                 hamming_error=res.distance,
-                pose=pose,
-                reproj_err=err,
+                pose=poses[j],
+                reproj_err=float(err),
             )
         )
     detections.sort(key=lambda d: (d.code_index, d.reproj_err))

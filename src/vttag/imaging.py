@@ -7,6 +7,7 @@ with no anti-aliasing; seeded Gaussian noise stands in for sensor realism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -51,10 +52,12 @@ class CameraModel:
     pose: RigidTransform = field(default_factory=RigidTransform.identity)
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
+        if not (np.isfinite(self.pose.rotation).all() and np.isfinite(self.pose.translation).all()):
+            raise ValueError("camera pose must be finite")
         self.pose.validate()
 
     @property
@@ -165,13 +168,7 @@ def _tag_cell_grid(family: TagFamily, index: int) -> np.ndarray:
     """(n+4)x(n+4) grid of gray values: white outer ring, black ring, payload."""
     if not 0 <= index < len(family):
         raise ValueError(f"code index {index} out of range for family of {len(family)}")
-    n = family.n
-    grid = np.zeros((n + 4, n + 4), dtype=np.uint8)
-    grid[:, :] = 255  # outer white boundary
-    grid[1:-1, 1:-1] = 0  # black boundary
-    payload = family.codes[index].to_array()
-    grid[2:-2, 2:-2] = np.where(payload, 255, 0)
-    return grid
+    return family._cell_grids[index]
 
 
 def render_tag_bitmap(family: TagFamily, index: int, pixels_per_cell: int) -> Image:
@@ -272,31 +269,36 @@ def render_scene(
         if depth is None:
             depth = np.full((h, w), np.inf)
 
-        us = (np.arange(c0, c1) + 0.5 - camera.cx) / camera.fx
-        vs = (np.arange(r0, r1) + 0.5 - camera.cy) / camera.fy
-        du, dv = np.meshgrid(us, vs)
-        dirs = np.stack([du, dv, np.ones_like(du)], axis=-1) @ rot.T
+        rays = np.empty((r1 - r0, c1 - c0, 3))
+        rays[..., 0] = (np.arange(c0, c1) + 0.5 - camera.cx) / camera.fx
+        rays[..., 1] = ((np.arange(r0, r1) + 0.5 - camera.cy) / camera.fy)[:, None]
+        rays[..., 2] = 1.0
+        dirs = rays @ rot.T
 
         normal = tag.pose.rotation[:, 2]
         denom = dirs @ normal
         facing = denom < -1e-12  # camera must see the +z face
         with np.errstate(divide="ignore", invalid="ignore"):
             s = ((tag.pose.translation - cam_origin) @ normal) / denom
+            # hit points relative to the tag origin, in place on dirs; one
+            # component at a time, since a broadcast over the last axis runs
+            # an inner loop of length 3
+            for k in range(3):
+                comp = dirs[..., k]
+                comp *= s
+                comp += cam_origin[k]
+                comp -= tag.pose.translation[k]
         hit = facing & (s > _EPS_DEPTH)
-
-        pts = cam_origin + dirs * s[..., None]
-        local = (pts - tag.pose.translation) @ tag.pose.rotation
+        local = dirs @ tag.pose.rotation
         xl, yl = local[..., 0], local[..., 1]
         inside = hit & (np.abs(xl) < full_half) & (np.abs(yl) < full_half)
 
-        col = np.clip(((xl + full_half) / cell).astype(int), 0, n + 3)
-        row = np.clip(((full_half - yl) / cell).astype(int), 0, n + 3)
-        color = grid[row, col]
-
         sub_depth = depth[r0:r1, c0:c1]
         win = inside & (s < sub_depth)
-        sub = img[r0:r1, c0:c1]
-        sub[win] = color[win]
+        # the cell lookup only for the pixels this tag wins
+        col = np.clip(((xl[win] + full_half) / cell).astype(int), 0, n + 3)
+        row = np.clip(((full_half - yl[win]) / cell).astype(int), 0, n + 3)
+        img[r0:r1, c0:c1][win] = grid[row, col]
         sub_depth[win] = s[win]
 
     if noise_sigma > 0:

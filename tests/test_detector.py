@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import warnings
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-from vttag.codes import generate_family
+import vttag.detector
+from vttag.codes import TagCode, decode_code, generate_family
 from vttag.detector import (
+    Detection,
+    DetectorParams,
+    Quad,
     _fit_quad_corners,
     _outer_boundary,
     _window_areas,
@@ -18,7 +28,7 @@ from vttag.detector import (
     pose_from_homography,
     sample_payload,
 )
-from vttag.errors import DegenerateGeometry, SamplingFailed
+from vttag.errors import DegenerateGeometry, SamplingFailed, VttagError
 from vttag.imaging import (
     BORDER_UNIT_CORNERS,
     CameraModel,
@@ -434,3 +444,369 @@ class TestDetect:
         img = render_scene(camera, [fronto_tag(13)], family, noise_sigma=4.0, seed=2)
         dets = detect(img, camera, family, 0.7)
         assert len(dets) == 1 and dets[0].code_index == 13
+
+
+# detect's stages as one loop over the quads, each stage on one quad, as
+# detect ran before its stages were stacked: detect must return the same
+# detections to the bit
+def _ref_normalize_points(pts):
+    centroid = pts.mean(axis=0)
+    rms = np.sqrt(((pts - centroid) ** 2).sum(axis=1).mean())
+    if rms < 1e-12:
+        raise DegenerateGeometry("point set collapses to a single point")
+    s = np.sqrt(2.0) / rms
+    T = np.array(
+        [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
+    )
+    return (pts - centroid) * s, T
+
+
+def _ref_estimate_homography(plane_pts, img_pts):
+    plane_pts = np.asarray(plane_pts, dtype=float).reshape(-1, 2)
+    img_pts = np.asarray(img_pts, dtype=float).reshape(-1, 2)
+    if len(plane_pts) != len(img_pts) or len(plane_pts) < 4:
+        raise ValueError("need >= 4 point correspondences")
+    pn, Tp = _ref_normalize_points(plane_pts)
+    qn, Tq = _ref_normalize_points(img_pts)
+
+    k = len(pn)
+    A = np.zeros((2 * k, 9))
+    x, y = pn[:, 0], pn[:, 1]
+    u, v = qn[:, 0], qn[:, 1]
+    A[0::2, 0] = x
+    A[0::2, 1] = y
+    A[0::2, 2] = 1.0
+    A[0::2, 6] = -u * x
+    A[0::2, 7] = -u * y
+    A[0::2, 8] = -u
+    A[1::2, 3] = x
+    A[1::2, 4] = y
+    A[1::2, 5] = 1.0
+    A[1::2, 6] = -v * x
+    A[1::2, 7] = -v * y
+    A[1::2, 8] = -v
+
+    _, s, Vt = np.linalg.svd(A)
+    if s[0] < 1e-12 or s[7] / s[0] < 1e-10:
+        raise DegenerateGeometry("correspondences are rank deficient")
+    Hn = Vt[-1].reshape(3, 3)
+    H = np.linalg.inv(Tq) @ Hn @ Tp
+    if abs(H[2, 2]) > 1e-12:
+        H = H / H[2, 2]
+    return H
+
+
+def _ref_apply_h(H, pts):
+    hom = np.column_stack([pts, np.ones(len(pts))]) @ H.T
+    return hom[:, :2] / hom[:, 2:3]
+
+
+def _ref_grid_centers(n):
+    cell = 2.0 / (n + 2)
+
+    def center(i, j):
+        return (-1.0 + (j + 0.5) * cell, 1.0 - (i + 0.5) * cell)
+
+    payload = np.array([center(i + 1, j + 1) for i in range(n) for j in range(n)])
+    black = np.array([
+        center(i, j) for i in range(n + 2) for j in range(n + 2)
+        if i in (0, n + 1) or j in (0, n + 1)
+    ])
+    white = np.array([
+        center(i, j) for i in range(-1, n + 3) for j in range(-1, n + 3)
+        if i in (-1, n + 2) or j in (-1, n + 2)
+    ])
+    return payload, black, white
+
+
+def _ref_bilinear_sample(px, uv):
+    h, w = px.shape
+    x = uv[:, 0] - 0.5
+    y = uv[:, 1] - 0.5
+    inside = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
+    xc = np.clip(x, 0, w - 1)
+    yc = np.clip(y, 0, h - 1)
+    x0 = np.floor(xc).astype(int)
+    y0 = np.floor(yc).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xc - x0
+    fy = yc - y0
+    p = px.astype(float)
+    vals = (
+        p[y0, x0] * (1 - fx) * (1 - fy)
+        + p[y0, x1] * fx * (1 - fy)
+        + p[y1, x0] * (1 - fx) * fy
+        + p[y1, x1] * fx * fy
+    )
+    return vals, inside
+
+
+def _ref_sample_payload_stats(image, H, n):
+    payload, black, white = _ref_grid_centers(n)
+    all_pts = np.vstack([payload, black, white])
+    uv = _ref_apply_h(H, all_pts)
+    vals, inside = _ref_bilinear_sample(image.pixels, uv)
+    if not inside.any():
+        raise SamplingFailed("payload sampling grid lies outside the image")
+    np_, nb = len(payload), len(black)
+    pv = vals[:np_]
+    black_mean = float(vals[np_ : np_ + nb].mean())
+    white_mean = float(vals[np_ + nb :].mean())
+    threshold = (black_mean + white_mean) / 2.0
+    code = TagCode(n, tuple(bool(v > threshold) for v in pv))
+    return code, black_mean, white_mean
+
+
+def _ref_pose_from_homography(H, camera, tag_size):
+    Hm = H @ np.diag([2.0 / tag_size, 2.0 / tag_size, 1.0])
+    M = np.linalg.inv(camera.intrinsic_matrix) @ Hm
+    n1 = np.linalg.norm(M[:, 0])
+    n2 = np.linalg.norm(M[:, 1])
+    if n1 < 1e-12 or n2 < 1e-12:
+        raise DegenerateGeometry("homography columns vanish")
+    s = 2.0 / (n1 + n2)
+    if (s * M[:, 2])[2] < 0:
+        s = -s
+    r1 = s * M[:, 0]
+    r2 = s * M[:, 1]
+    r3 = np.cross(r1, r2)
+    R0 = np.column_stack([r1, r2, r3])
+    U, _, Vt = np.linalg.svd(R0)
+    d = np.sign(np.linalg.det(U @ Vt))
+    R = U @ np.diag([1.0, 1.0, d]) @ Vt
+    return RigidTransform(R, s * M[:, 2])
+
+
+def _ref_reprojection_rms(pose, camera, tag_size, corners):
+    half = tag_size / 2.0
+    local = np.column_stack([BORDER_UNIT_CORNERS * half, np.zeros(4)])
+    cam_pts = pose.apply(local)
+    uv = np.column_stack(
+        [
+            camera.fx * cam_pts[:, 0] / cam_pts[:, 2] + camera.cx,
+            camera.fy * cam_pts[:, 1] / cam_pts[:, 2] + camera.cy,
+        ]
+    )
+    return float(np.sqrt(((uv - corners) ** 2).sum(axis=1).mean()))
+
+
+def _reference_detect(image, camera, family, tag_size, params=DetectorParams(), quads=None):
+    if quads is None:
+        binary = binarize(image, window=params.window, offset=params.offset)
+        quads = extract_quads(
+            binary, min_area=params.min_area, fill_min=params.fill_min,
+            fill_max=params.fill_max,
+        )
+    detections = []
+    for quad in quads:
+        try:
+            H = _ref_estimate_homography(BORDER_UNIT_CORNERS, quad.corners)
+            observed, black_mean, white_mean = _ref_sample_payload_stats(image, H, family.n)
+        except (DegenerateGeometry, SamplingFailed):
+            continue
+        if white_mean - black_mean < params.min_contrast:
+            continue
+        res = decode_code(observed, family, params.t_max)
+        if res is None:
+            continue
+        rolled = np.roll(quad.corners, res.rotation, axis=0)
+        try:
+            H2 = _ref_estimate_homography(BORDER_UNIT_CORNERS, rolled)
+            pose = _ref_pose_from_homography(H2, camera, tag_size)
+        except DegenerateGeometry:
+            continue
+        if pose.translation[2] <= 0:
+            continue
+        err = _ref_reprojection_rms(pose, camera, tag_size, rolled)
+        detections.append(Detection(
+            quad=quad, code_index=res.index, rotation=res.rotation,
+            hamming_error=res.distance, pose=pose, reproj_err=err,
+        ))
+    detections.sort(key=lambda d: (d.code_index, d.reproj_err))
+    return detections
+
+
+def _detection_bytes(d):
+    return (
+        d.code_index, d.rotation, d.hamming_error, d.quad.area,
+        d.quad.corners.tobytes(), d.pose.rotation.tobytes(),
+        d.pose.translation.tobytes(), np.float64(d.reproj_err).tobytes(),
+    )
+
+
+def _rot_z(a):
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
+
+
+def _random_tag(rng, index, tag_size=0.5):
+    """A front-facing tag at a random tilt, spin and offset, 1.6-4 m away."""
+    tilt, azim, spin = rng.uniform(0, 1.0), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)
+    ct, st_ = np.cos(tilt), np.sin(tilt)
+    rx = np.array([[1, 0, 0], [0, ct, -st_], [0, st_, ct]])
+    R = _rot_z(azim) @ rx @ _rot_z(-azim) @ np.diag([1.0, -1.0, -1.0]) @ _rot_z(spin)
+    depth = rng.uniform(1.6, 4.0)
+    t = np.array([rng.uniform(-0.15, 0.15) * depth, rng.uniform(-0.1, 0.1) * depth, depth])
+    return PlacedTag(index=index, tag_size=tag_size, pose=RigidTransform(R, t))
+
+
+class TestStackedStages:
+    """detect's stacked stages against the per-quad reference loop above."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_detect_matches_per_quad_loop(self, camera, family, seed):
+        rng = np.random.default_rng(seed)
+        n_quads = n_dets = 0
+        for frame in range(50):
+            tags = [_random_tag(rng, int(i)) for i in
+                    rng.choice(len(family), int(rng.integers(1, 4)), replace=False)]
+            sigma = float(rng.uniform(0, 6))
+            img = render_scene(camera, tags, family, noise_sigma=sigma, seed=frame)
+            want = _reference_detect(img, camera, family, 0.5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = detect(img, camera, family, 0.5)
+            assert [_detection_bytes(d) for d in got] == [_detection_bytes(d) for d in want]
+            n_dets += len(got)
+            # the single-quad public stages keep their results to the bit
+            for quad in extract_quads(binarize(img)):
+                n_quads += 1
+                H = _ref_estimate_homography(BORDER_UNIT_CORNERS, quad.corners)
+                assert estimate_homography(BORDER_UNIT_CORNERS, quad.corners).tobytes() == H.tobytes()
+                try:
+                    code = _ref_sample_payload_stats(img, H, family.n)[0]
+                except SamplingFailed:
+                    with pytest.raises(SamplingFailed):
+                        sample_payload(img, H, family.n)
+                else:
+                    assert sample_payload(img, H, family.n) == code
+                pose = _ref_pose_from_homography(H, camera, 0.5)
+                got_pose = pose_from_homography(H, camera, 0.5)
+                assert got_pose.rotation.tobytes() == pose.rotation.tobytes()
+                assert got_pose.translation.tobytes() == pose.translation.tobytes()
+        # most frames keep every tag, and some quads are not tags
+        assert n_dets > 50 and n_quads > n_dets
+
+    def test_degenerate_members_masked_between_valid_ones(self, monkeypatch, camera, family):
+        left = PlacedTag(index=1, tag_size=0.35, pose=RigidTransform(
+            np.diag([1.0, -1.0, -1.0]), np.array([-0.25, 0, 2.0])))
+        right = PlacedTag(index=9, tag_size=0.35, pose=RigidTransform(
+            np.diag([1.0, -1.0, -1.0]) @ np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1.0]]),
+            np.array([0.25, 0, 2.0])))
+        img = render_scene(camera, [left, right], family, noise_sigma=2.0, seed=3)
+        real = extract_quads(binarize(img))
+        assert len(real) >= 2
+        collinear = Quad(corners=np.array([[10.0, 10], [20, 20], [30, 30], [40, 40]]), area=0.0)
+        collapsed = Quad(corners=np.full((4, 2), 50.0), area=0.0)
+        quads = [real[0], collinear, collapsed] + real[1:]
+        monkeypatch.setattr(vttag.detector, "extract_quads", lambda *a, **k: quads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = detect(img, camera, family, 0.35)
+            stack = estimate_homography(BORDER_UNIT_CORNERS, np.stack([q.corners for q in quads]))
+            poses = pose_from_homography(stack, camera, 0.35)
+        want = _reference_detect(img, camera, family, 0.35, quads=quads)
+        assert sorted(d.code_index for d in want) == [1, 9]
+        assert [_detection_bytes(d) for d in got] == [_detection_bytes(d) for d in want]
+        # the degenerate members come back NaN / None, the others as if alone
+        assert np.isnan(stack[1:3]).all()
+        assert poses[1] is None and poses[2] is None
+        for q, H, pose in zip(quads, stack, poses):
+            if q is collinear or q is collapsed:
+                with pytest.raises(DegenerateGeometry):
+                    estimate_homography(BORDER_UNIT_CORNERS, q.corners)
+                continue
+            alone = _ref_estimate_homography(BORDER_UNIT_CORNERS, q.corners)
+            assert H.tobytes() == alone.tobytes()
+            want_pose = _ref_pose_from_homography(alone, camera, 0.35)
+            assert pose.rotation.tobytes() == want_pose.rotation.tobytes()
+            assert pose.translation.tobytes() == want_pose.translation.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_members_masked(self, camera, family, bad):
+        img = render_scene(camera, [fronto_tag(7)], family)
+        quad = detect(img, camera, family, 0.7)[0].quad
+        H = estimate_homography(BORDER_UNIT_CORNERS, quad.corners)
+        poisoned = H.copy()
+        poisoned[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            poses = pose_from_homography(np.stack([poisoned, H]), camera, 0.7)
+            pts = np.stack([quad.corners, quad.corners])
+            pts[0, 2, 0] = bad
+            stack = estimate_homography(BORDER_UNIT_CORNERS, pts)
+            with pytest.raises(DegenerateGeometry):
+                pose_from_homography(poisoned, camera, 0.7)
+            with pytest.raises(DegenerateGeometry):
+                estimate_homography(BORDER_UNIT_CORNERS, pts[0])
+            with pytest.raises(SamplingFailed):
+                sample_payload(img, poisoned, family.n)
+        alone = pose_from_homography(H, camera, 0.7)
+        assert poses[0] is None
+        assert poses[1].rotation.tobytes() == alone.rotation.tobytes()
+        assert np.isnan(stack[0]).all() and stack[1].tobytes() == H.tobytes()
+
+
+@lru_cache(maxsize=1)
+def _hostile_family():
+    return generate_family(5, 9, 30, seed=42)
+
+
+def _blocky(cells, scale, noise, seed):
+    """A frame of flat blocks: quad-shaped components with any contrast."""
+    rng = np.random.default_rng(seed)
+    px = np.kron(cells, np.ones((scale, scale), dtype=np.int16))
+    px = px + rng.integers(-noise, noise + 1, px.shape)
+    return np.clip(px, 0, 255).astype(np.uint8)
+
+
+def _tagged(seed):
+    """A 160x120 frame of 1-3 tags at random poses, sigma 0-6."""
+    rng = np.random.default_rng(seed)
+    fam = _hostile_family()
+    cam = CameraModel(fx=300.0, fy=300.0, cx=80.0, cy=60.0, width=160, height=120)
+    tags = [_random_tag(rng, int(rng.integers(len(fam)))) for _ in range(int(rng.integers(1, 4)))]
+    return render_scene(cam, tags, fam, noise_sigma=float(rng.uniform(0, 6)), seed=seed).pixels
+
+
+_FRAMES = st.one_of(
+    hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=48)),
+    st.builds(
+        _blocky,
+        hnp.arrays(np.int16, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+                   elements=st.integers(0, 255)),
+        st.integers(1, 12), st.integers(0, 40), st.integers(0, 2**32 - 1),
+    ),
+    st.builds(_tagged, st.integers(0, 2**32 - 1)),
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PARAMS = st.one_of(
+    st.just(DetectorParams()),
+    st.builds(
+        DetectorParams,
+        window=st.integers(1, 60),
+        offset=st.one_of(st.integers(-300, 300).map(float), _FINITE),
+        min_area=st.one_of(st.floats(-10, 400), _FINITE),
+        fill_min=st.one_of(st.floats(-1, 1.5), _FINITE),
+        fill_max=st.one_of(st.floats(0, 3), _FINITE),
+        min_contrast=st.one_of(st.floats(-300, 300), _FINITE),
+        t_max=st.one_of(st.none(), st.integers(0, 40)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=_FRAMES, params=_PARAMS)
+def test_hostile_frames_raise_only_vttag_errors(frame, params):
+    # the detector's promise on any frame and any settings: a list of
+    # detections or a VttagError, and no RuntimeWarning on the way
+    h, w = frame.shape
+    cam = CameraModel(fx=300.0, fy=300.0, cx=w / 2, cy=h / 2, width=max(w, 1), height=max(h, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            dets = detect(Image(frame), cam, _hostile_family(), 0.5, params)
+        except VttagError:
+            return
+    assert all(d.pose.translation[2] > 0 for d in dets)

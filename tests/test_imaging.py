@@ -11,6 +11,7 @@ from vttag.imaging import (
     CameraModel,
     Image,
     PlacedTag,
+    _tag_pixel_bbox,
     frame_noise,
     project,
     render_scene,
@@ -42,10 +43,174 @@ class TestCameraModel:
         with pytest.raises(ValueError):
             CameraModel(fx=500, fy=500, cx=999, cy=120, width=320, height=240)
 
+    @pytest.mark.parametrize("key", ["fx", "fy"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_focal_length(self, key, value):
+        kwargs = dict(fx=500.0, fy=500.0, cx=160.0, cy=120.0, width=320, height=240)
+        kwargs[key] = value
+        with pytest.raises(ValueError, match="focal lengths"):
+            CameraModel(**kwargs)
+
+    @pytest.mark.parametrize(
+        "rotation, translation",
+        [(np.full((3, 3), np.nan), np.zeros(3)),
+         (np.where(np.eye(3) == 1, np.nan, 0.0), np.zeros(3)),
+         (np.eye(3), np.array([0.0, np.nan, 0.0])),
+         (np.eye(3), np.array([0.0, 0.0, np.inf]))],
+    )
+    def test_rejects_non_finite_pose(self, rotation, translation):
+        with pytest.raises(ValueError, match="finite"):
+            CameraModel(fx=500.0, fy=500.0, cx=160.0, cy=120.0, width=320, height=240,
+                        pose=RigidTransform(rotation, translation))
+
     def test_json_round_trip(self, camera):
         back = CameraModel.from_json_dict(camera.to_json_dict())
         assert back.fx == camera.fx and back.width == camera.width
         assert np.allclose(back.pose.rotation, camera.pose.rotation)
+
+
+# the rasterizer as one pass per tag over its whole bounding box, with the
+# cell grid rebuilt per tag and a colour looked up for every box pixel, as
+# render_scene drew before: render_scene must draw the same frames
+def _ref_tag_cell_grid(family, index):
+    if not 0 <= index < len(family):
+        raise ValueError(f"code index {index} out of range for family of {len(family)}")
+    n = family.n
+    grid = np.zeros((n + 4, n + 4), dtype=np.uint8)
+    grid[:, :] = 255
+    grid[1:-1, 1:-1] = 0
+    payload = family.codes[index].to_array()
+    grid[2:-2, 2:-2] = np.where(payload, 255, 0)
+    return grid
+
+
+def _reference_render(camera, tags, family, noise_sigma=0.0, background=96, seed=0):
+    h, w = camera.height, camera.width
+    img = np.full((h, w), np.uint8(background), dtype=np.uint8)
+    depth = None
+    cam_origin = camera.pose.translation
+    rot = camera.pose.rotation
+    for tag in tags:
+        grid = _ref_tag_cell_grid(family, tag.index)
+        n = family.n
+        cell = tag.tag_size / (n + 2)
+        full_half = tag.tag_size * (n + 4) / (n + 2) / 2.0
+        bbox = _tag_pixel_bbox(camera, tag, full_half)
+        if bbox is None:
+            continue
+        r0, r1, c0, c1 = bbox
+        if depth is None:
+            depth = np.full((h, w), np.inf)
+        us = (np.arange(c0, c1) + 0.5 - camera.cx) / camera.fx
+        vs = (np.arange(r0, r1) + 0.5 - camera.cy) / camera.fy
+        du, dv = np.meshgrid(us, vs)
+        dirs = np.stack([du, dv, np.ones_like(du)], axis=-1) @ rot.T
+        normal = tag.pose.rotation[:, 2]
+        denom = dirs @ normal
+        facing = denom < -1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = ((tag.pose.translation - cam_origin) @ normal) / denom
+            pts = cam_origin + dirs * s[..., None]
+            local = (pts - tag.pose.translation) @ tag.pose.rotation
+            xl, yl = local[..., 0], local[..., 1]
+            col = np.clip(((xl + full_half) / cell).astype(int), 0, n + 3)
+            row = np.clip(((full_half - yl) / cell).astype(int), 0, n + 3)
+        hit = facing & (s > 1e-6)
+        inside = hit & (np.abs(xl) < full_half) & (np.abs(yl) < full_half)
+        color = grid[row, col]
+        sub_depth = depth[r0:r1, c0:c1]
+        win = inside & (s < sub_depth)
+        sub = img[r0:r1, c0:c1]
+        sub[win] = color[win]
+        sub_depth[win] = s[win]
+    if noise_sigma > 0:
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
+        noisy = img + noise_sigma * gen.standard_normal((h, w))
+        img = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+    return img
+
+
+def _posed_tag(index, tag_size, rotation, translation):
+    return PlacedTag(index=index, tag_size=tag_size,
+                     pose=RigidTransform(rotation, np.asarray(translation, dtype=float)))
+
+
+def _random_rotation(rng):
+    q = rng.normal(size=4)
+    a, b, c, d = q / np.linalg.norm(q)
+    return np.array([
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+    ])
+
+
+FACING = np.diag([1.0, -1.0, -1.0])  # +z face towards a camera at the origin
+
+
+class TestRenderMatchesReference:
+    def test_random_poses(self, camera, family):
+        # any orientation, front or back face, some tags crossing the camera
+        # plane or out of view, 1-3 tags per frame
+        rng = np.random.default_rng(17)
+        for frame in range(60):
+            tags = [
+                _posed_tag(int(rng.integers(len(family))), float(rng.uniform(0.2, 1.2)),
+                           _random_rotation(rng) if rng.random() < 0.5 else FACING,
+                           rng.uniform([-1.5, -1.0, -0.5], [1.5, 1.0, 4.0]))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            sigma = float(rng.choice([0.0, 2.0]))
+            want = _reference_render(camera, tags, family, noise_sigma=sigma, seed=frame)
+            got = render_scene(camera, tags, family, noise_sigma=sigma, seed=frame).pixels
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.3, 0.9])
+    def test_overlapping_tags_either_order(self, camera, family, tilt):
+        c, s = np.cos(tilt), np.sin(tilt)
+        tilted = np.array([[1, 0, 0], [0, c, -s], [0, s, c]]) @ FACING
+        a = _posed_tag(3, 0.8, tilted, [0.1, 0.05, 2.0])
+        b = _posed_tag(8, 0.8, FACING, [-0.05, 0.0, 2.05])  # crosses a when tilted
+        for tags in ([a, b], [b, a]):
+            want = _reference_render(camera, tags, family)
+            assert np.array_equal(render_scene(camera, tags, family).pixels, want)
+
+    def test_tag_partly_behind_camera(self, camera, family):
+        # corners on both sides of the camera plane: the whole frame is its box
+        c, s = np.cos(-1.3), np.sin(-1.3)
+        tag = _posed_tag(5, 2.0, np.array([[1, 0, 0], [0, c, -s], [0, s, c]]) @ FACING,
+                         [0.0, 0.3, 0.3])
+        full_half = 2.0 * 9 / 7 / 2.0
+        assert _tag_pixel_bbox(camera, tag, full_half) == (0, camera.height, 0, camera.width)
+        got = render_scene(camera, [tag], family).pixels
+        assert np.array_equal(got, _reference_render(camera, [tag], family))
+        assert (got != 96).any()
+
+    def test_tag_out_of_view(self, camera, family):
+        tag = _posed_tag(5, 0.5, FACING, [30.0, 0.0, 2.0])
+        near = _posed_tag(6, 0.5, FACING, [0.0, 0.0, 2.0])
+        assert _tag_pixel_bbox(camera, tag, 0.5 * 9 / 7 / 2.0) is None
+        assert (render_scene(camera, [tag], family).pixels == 96).all()
+        for tags in ([tag, near], [near, tag]):
+            want = _reference_render(camera, tags, family)
+            assert np.array_equal(render_scene(camera, tags, family).pixels, want)
+
+    @pytest.mark.parametrize("index", [0, 7, 29])
+    def test_tag_bitmap_unchanged(self, family, index):
+        want = np.kron(_ref_tag_cell_grid(family, index), np.ones((3, 3), dtype=np.uint8))
+        assert np.array_equal(render_tag_bitmap(family, index, 3).pixels, want)
+
+    def test_cell_grids_built_once_and_read_only(self, family):
+        grids = family._cell_grids
+        assert grids is family._cell_grids
+        assert not grids.flags.writeable
+        for i in range(len(family)):
+            assert np.array_equal(grids[i], _ref_tag_cell_grid(family, i))
+
+    @pytest.mark.parametrize("index", [-1, 30])
+    def test_render_rejects_out_of_family_index(self, camera, family, index):
+        with pytest.raises(ValueError, match="out of range"):
+            render_scene(camera, [_posed_tag(index, 0.5, FACING, [0, 0, 2.0])], family)
 
 
 class TestTagBitmap:

@@ -192,6 +192,24 @@ class TestScenarioConfig:
         with pytest.raises(ScenarioError):
             ScenarioConfig.from_json_dict(blob)
 
+    @pytest.mark.parametrize(
+        "key, index, value",
+        [("fx", None, float("nan")), ("fy", None, float("nan")), ("fx", None, float("inf")),
+         ("fy", None, float("inf")), ("R", 0, float("nan")), ("t", 2, float("nan")),
+         ("t", 0, float("inf"))],
+    )
+    def test_rejects_non_finite_camera(self, key, index, value):
+        # NaN intrinsics once loaded and then crashed in render_scene; a
+        # non-finite camera pose was accepted outright
+        blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
+        camera = blob["rsus"][0]["camera"]
+        if index is None:
+            camera[key] = value
+        else:
+            camera["pose"][key][index] = value
+        with pytest.raises(ScenarioError):
+            ScenarioConfig.from_json_dict(blob)
+
     def test_load_bad_config_scenario_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"ticks": 10}))
@@ -371,6 +389,31 @@ class TestTracerTargets:
             monkeypatch.setattr(vttag.simulate, name, counting)
         run_scenario(ScenarioConfig.from_json_dict(blob))
         assert calls == {"rsu_step": rsu_calls, "bus_step": 40, "attacker_step": 40}
+
+
+    def test_detector_stages_are_looked_up_in_detector(self, monkeypatch):
+        # detect runs each stage once over the frame's stack of quads: every
+        # clone frame holds 3 quads (two tags and the halo beside them), and
+        # the contrast test drops the halo before decode
+        calls = Counter()
+        stacks = Counter()
+        for name in ("estimate_homography", "pose_from_homography", "decode_code"):
+            real = getattr(vttag.detector, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                if _name != "decode_code":
+                    stacks[_name, len(args[-1] if _name == "estimate_homography" else args[0])] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(vttag.detector, name, counting)
+        run_scenario(clone(0, 2))
+        assert calls == {"estimate_homography": 80, "pose_from_homography": 40, "decode_code": 80}
+        assert stacks == {
+            ("estimate_homography", 3): 40,
+            ("estimate_homography", 2): 40,
+            ("pose_from_homography", 2): 40,
+        }
 
 
 class TestTagFreeFrames:
