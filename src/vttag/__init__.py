@@ -18,10 +18,8 @@ from .codes import (
 )
 from .detector import Detection, DetectorParams, Quad, detect
 from .errors import (
-    DegenerateGeometry,
     DegenerateProjection,
     GenerationExhausted,
-    SamplingFailed,
     ScenarioError,
     VttagError,
 )
@@ -101,8 +99,6 @@ __all__ = [
     "wrap_angle",
     "VttagError",
     "GenerationExhausted",
-    "DegenerateGeometry",
-    "SamplingFailed",
     "DegenerateProjection",
     "ScenarioError",
 ]

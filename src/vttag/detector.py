@@ -22,7 +22,6 @@ from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError
 
 from .codes import TagCode, TagFamily, decode_code
-from .errors import DegenerateGeometry, SamplingFailed
 from .imaging import BORDER_UNIT_CORNERS, CameraModel, Image
 from .transforms import RigidTransform
 
@@ -33,7 +32,6 @@ __all__ = [
     "binarize",
     "extract_quads",
     "estimate_homography",
-    "sample_payload",
     "pose_from_homography",
     "detect",
 ]
@@ -371,15 +369,15 @@ def extract_quads(
     return quads
 
 
-def _mask_non_finite(a: np.ndarray, fill=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """A stack (q, ...) with each non-finite member replaced by `fill`, and the finite mask.
+def _mask_non_finite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stack (q, ...) with each non-finite member replaced by zeros, and the finite mask.
 
     One NaN or infinite member would make LAPACK fail the whole stack, or
-    warn, so the stacked stages compute on `fill` there and mask it out.
+    warn, so the stacked stages compute on zeros there and mask them out.
     """
     finite = np.isfinite(a).reshape(len(a), -1).all(axis=1)
     if not finite.all():
-        a = np.where(finite.reshape((-1,) + (1,) * (a.ndim - 1)), a, fill)
+        a = np.where(finite.reshape((-1,) + (1,) * (a.ndim - 1)), a, 0.0)
     return a, finite
 
 
@@ -404,30 +402,26 @@ def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def estimate_homography(plane_pts, img_pts) -> np.ndarray:
-    """Hartley-normalized direct linear transform from >= 4 correspondences.
+    """Hartley-normalized direct linear transforms, one per image point set.
 
-    img_pts is one point set (k, 2) or a stack of them (q, k, 2); plane_pts
-    is one set, shared by the stack, or a stack of the same shape. Returns
-    H, or a (q, 3, 3) stack, with H[2,2] scaled to 1 where that entry is
-    nonzero. One point set raises DegenerateGeometry when a set collapses
-    to a single point or holds a non-finite point, or when the system has
-    rank < 8 (e.g. collinear plane points). In a stack such a member's H is
-    all NaN instead, and every other member is as if fitted alone.
+    plane_pts is one set of k >= 4 points (k, 2), normalized once and shared
+    by every member of the stack img_pts (q, k, 2). Returns a (q, 3, 3)
+    stack, each H with H[2,2] scaled to 1 where that entry is nonzero. A
+    member whose set collapses to a single point or holds a non-finite
+    point, or whose system has rank < 8 (e.g. collinear plane points), is
+    all NaN; every other member is as if fitted alone. Raises ValueError
+    for any other shapes.
     """
     img = np.asarray(img_pts, dtype=float)
-    single = img.ndim < 3
-    if single:
-        img = img.reshape(1, -1, 2)
     plane = np.asarray(plane_pts, dtype=float)
-    if plane.ndim < 3:
-        plane = plane.reshape(1, -1, 2)  # one set, normalized once for the stack
-    if plane.shape[1] != img.shape[1] or img.shape[1] < 4:
+    if plane.ndim != 2 or plane.shape[1] != 2 or img.ndim != 3 or img.shape[1:] != plane.shape:
+        raise ValueError("need a plane set (k, 2) and a stack of image sets (q, k, 2)")
+    if len(plane) < 4:
         raise ValueError("need >= 4 point correspondences")
     q, k = img.shape[:2]
-    pn, Tp, plane_ok = _normalize_points(plane)
+    pn, Tp, plane_ok = _normalize_points(plane[None])
     qn, Tq, ok = _normalize_points(img)
     ok &= plane_ok
-    Tp = np.broadcast_to(Tp, (q, 3, 3))
 
     A = np.zeros((q, 2 * k, 9))
     x, y = pn[..., 0], pn[..., 1]
@@ -454,17 +448,11 @@ def estimate_homography(plane_pts, img_pts) -> np.ndarray:
         full = ~small & ~(s[:, 7] / np.where(small, 1.0, s[:, 0]) < 1e-10)
         idx = idx[full]
         Hn = Vt[full, -1].reshape(-1, 3, 3)
-        Hs = np.linalg.inv(Tq[idx]) @ Hn @ Tp[idx]
+        Hs = np.linalg.inv(Tq[idx]) @ Hn @ Tp
         z = Hs[:, 2, 2]
         scaled = np.abs(z) > 1e-12
         Hs[scaled] /= z[scaled, None, None]
         H[idx] = Hs
-    if single:
-        if not ok[0]:
-            raise DegenerateGeometry("point set collapses to a single point or is not finite")
-        if np.isnan(H[0, 2, 2]):
-            raise DegenerateGeometry("correspondences are rank deficient")
-        return H[0]
     return H
 
 
@@ -530,52 +518,39 @@ def _bilinear_sample(px: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.nda
 def _sample_grids(
     image: Image, H: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Payload bits and border reference means through a (q, 3, 3) stack of homographies.
+    """Payload bits and border reference means through a (q, 3, 3) stack of finite homographies.
 
-    Returns (bits (q, n*n), black-ring means, white-ring means, sampled);
-    sampled is False for a member that is not finite or whose whole
-    sampling grid misses the image.
+    Each bit is thresholded at the midpoint between the means of samples
+    taken at black-border and white-border cell centers, so it adapts per
+    tag. Returns (bits (q, n*n), black-ring means, white-ring means,
+    sampled); sampled is False for a member whose whole sampling grid
+    misses the image.
     """
     points, n_payload, n_black = _grid_centers(n)
-    H, finite = _mask_non_finite(H, fill=np.eye(3))
     hom = points @ H.transpose(0, 2, 1)
     vals, inside = _bilinear_sample(image.pixels, hom[..., :2] / hom[..., 2:3])
     black_mean = vals[:, n_payload : n_payload + n_black].mean(axis=1)
     white_mean = vals[:, n_payload + n_black :].mean(axis=1)
     threshold = (black_mean + white_mean) / 2.0
     bits = vals[:, :n_payload] > threshold[:, None]
-    return bits, black_mean, white_mean, finite & inside.any(axis=1)
-
-
-def sample_payload(image: Image, H: np.ndarray, n: int) -> TagCode:
-    """Read the n x n payload through a border-square-to-pixels homography.
-
-    The bit threshold is the midpoint between the means of samples taken at
-    black-border and white-border cell centers, so it adapts per tag.
-    Raises SamplingFailed when H is not finite or the whole sampling grid
-    misses the image.
-    """
-    bits, _, _, sampled = _sample_grids(image, np.asarray(H, dtype=float)[None], n)
-    if not sampled[0]:
-        raise SamplingFailed("payload sampling grid lies outside the image")
-    return TagCode(n, tuple(bits[0].tolist()))
+    return bits, black_mean, white_mean, inside.any(axis=1)
 
 
 def pose_from_homography(
     H: np.ndarray, camera: CameraModel, tag_size: float
-) -> RigidTransform | list[Optional[RigidTransform]]:
-    """Tag-to-camera pose from a border-square ([-1,1]^2) to pixels homography.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tag-to-camera poses from a (q, 3, 3) stack of border-square-to-pixels homographies.
 
-    tag_size rescales the normalized square to meters. The rotation block is
-    re-orthonormalized via SVD with determinant forced to +1; the scale sign
-    is chosen so the tag sits in front of the camera (z > 0). One H gives a
-    RigidTransform, and raises DegenerateGeometry when it is not finite or
-    its first two columns vanish. A (q, 3, 3) stack gives a list of q
-    poses, with None for such a member.
+    The border square is [-1,1]^2, and tag_size rescales it to meters. The
+    rotation block is re-orthonormalized via SVD with determinant forced to
+    +1; the scale sign is chosen so the tag sits in front of the camera
+    (z > 0). Returns (R (q, 3, 3), t (q, 3)); a member whose H is not
+    finite or whose first two columns vanish is all NaN in both.
     """
     H = np.asarray(H, dtype=float)
-    single = H.ndim == 2
-    Hs, ok = _mask_non_finite(H.reshape(-1, 3, 3))
+    if H.ndim != 3 or H.shape[1:] != (3, 3):
+        raise ValueError("need a stack of homographies (q, 3, 3)")
+    Hs, ok = _mask_non_finite(H)
     # normalized [-1,1]^2 coords -> metric tag-plane coords
     Hm = Hs @ np.diag([2.0 / tag_size, 2.0 / tag_size, 1.0])
     M = np.linalg.inv(camera.intrinsic_matrix) @ Hm
@@ -585,7 +560,8 @@ def pose_from_homography(
     norms = np.sqrt(cols[..., None, :] @ cols[..., :, None])[..., 0, 0]
     ok &= (norms >= 1e-12).all(axis=1)
 
-    poses = [None] * len(M)
+    R = np.full((len(M), 3, 3), np.nan)
+    t = np.full((len(M), 3), np.nan)
     idx = np.flatnonzero(ok)
     if idx.size:
         M = M[idx]
@@ -602,33 +578,18 @@ def pose_from_homography(
         D = np.zeros_like(U)
         D[:, 0, 0] = D[:, 1, 1] = 1.0
         D[:, 2, 2] = np.sign(np.linalg.det(U @ Vt))
-        R = U @ D @ Vt
-        t = s[:, None] * M[:, :, 2]
-        for j, i in enumerate(idx):
-            poses[i] = RigidTransform(R[j], t[j])
-    if single:
-        if poses[0] is None:
-            raise DegenerateGeometry("homography columns vanish or are not finite")
-        return poses[0]
-    return poses
+        R[idx] = U @ D @ Vt
+        t[idx] = s[:, None] * M[:, :, 2]
+    return R, t
 
 
 def _reprojection_rms(
-    poses: list, camera: CameraModel, tag_size: float, corners: np.ndarray
+    R: np.ndarray, t: np.ndarray, camera: CameraModel, tag_size: float, corners: np.ndarray
 ) -> np.ndarray:
-    """RMS corner residual, px, of each pose against its (4, 2) corners."""
+    """RMS corner residual, px, of each pose (R, t) against its (4, 2) corners."""
     half = tag_size / 2.0
     local = np.column_stack([BORDER_UNIT_CORNERS * half, np.zeros(4)])
-    R = np.stack([p.rotation for p in poses])
-    t = np.stack([p.translation for p in poses])
-    cam_pts = local @ R.transpose(0, 2, 1) + t[:, None, :]
-    uv = np.stack(
-        [
-            camera.fx * cam_pts[..., 0] / cam_pts[..., 2] + camera.cx,
-            camera.fy * cam_pts[..., 1] / cam_pts[..., 2] + camera.cy,
-        ],
-        axis=-1,
-    )
+    uv = camera.to_pixels(local @ R.transpose(0, 2, 1) + t[:, None, :])
     return np.sqrt(((uv - corners) ** 2).sum(axis=2).mean(axis=1))
 
 
@@ -676,13 +637,13 @@ def detect(
     quad_idx = np.array([i for i, _ in decoded])
     turns = np.array([res.rotation for _, res in decoded])
     rolled = corners[quad_idx[:, None], (np.arange(4) - turns[:, None]) % 4]
-    poses = pose_from_homography(
+    R, t = pose_from_homography(
         estimate_homography(BORDER_UNIT_CORNERS, rolled), camera, tag_size
     )
-    front = [j for j, pose in enumerate(poses) if pose is not None and pose.translation[2] > 0]
-    if not front:
+    front = np.flatnonzero(t[:, 2] > 0)  # a NaN member compares False
+    if not front.size:
         return []
-    errs = _reprojection_rms([poses[j] for j in front], camera, tag_size, rolled[front])
+    errs = _reprojection_rms(R[front], t[front], camera, tag_size, rolled[front])
     detections = []
     for j, err in zip(front, errs):
         i, res = decoded[j]
@@ -692,7 +653,7 @@ def detect(
                 code_index=res.index,
                 rotation=res.rotation,
                 hamming_error=res.distance,
-                pose=poses[j],
+                pose=RigidTransform(R[j], t[j]),
                 reproj_err=float(err),
             )
         )

@@ -13,14 +13,6 @@ class GenerationExhausted(VttagError):
         self.examined = examined
 
 
-class DegenerateGeometry(VttagError):
-    """Point configuration too degenerate for homography / pose recovery."""
-
-
-class SamplingFailed(VttagError):
-    """Payload sampling grid fell entirely outside the image."""
-
-
 class DegenerateProjection(VttagError):
     """Vehicle frame cannot be projected to a planar pose (forward axis near vertical)."""
 

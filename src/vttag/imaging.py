@@ -56,9 +56,12 @@ class CameraModel:
             raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-        if not (np.isfinite(self.pose.rotation).all() and np.isfinite(self.pose.translation).all()):
-            raise ValueError("camera pose must be finite")
         self.pose.validate()
+
+    def to_pixels(self, p_cam: np.ndarray) -> np.ndarray:
+        """Pinhole projection of camera-frame points (..., 3) to pixel coordinates (..., 2)."""
+        x, y, z = p_cam[..., 0], p_cam[..., 1], p_cam[..., 2]
+        return np.stack([self.fx * x / z + self.cx, self.fy * y / z + self.cy], axis=-1)
 
     @property
     def intrinsic_matrix(self) -> np.ndarray:
@@ -182,12 +185,9 @@ def render_tag_bitmap(family: TagFamily, index: int, pixels_per_cell: int) -> Im
 def project(camera: CameraModel, point) -> Optional[np.ndarray]:
     """World point -> pixel coordinates, or None when at/behind the camera plane."""
     p_cam = camera.pose.inverse().apply(np.asarray(point, dtype=float))
-    z = p_cam[2]
-    if z <= _EPS_DEPTH:
+    if p_cam[2] <= _EPS_DEPTH:
         return None
-    return np.array(
-        [camera.fx * p_cam[0] / z + camera.cx, camera.fy * p_cam[1] / z + camera.cy]
-    )
+    return camera.to_pixels(p_cam)
 
 
 def tag_border_corners(tag: PlacedTag) -> np.ndarray:
@@ -210,8 +210,7 @@ def _tag_pixel_bbox(camera: CameraModel, tag: PlacedTag, full_half: float):
         if (cam_pts[:, 2] <= _EPS_DEPTH).all():
             return None
         return (0, camera.height, 0, camera.width)
-    us = camera.fx * cam_pts[:, 0] / cam_pts[:, 2] + camera.cx
-    vs = camera.fy * cam_pts[:, 1] / cam_pts[:, 2] + camera.cy
+    us, vs = camera.to_pixels(cam_pts).T
     c0 = max(0, int(np.floor(us.min())) - 2)
     c1 = min(camera.width, int(np.ceil(us.max())) + 2)
     r0 = max(0, int(np.floor(vs.min())) - 2)

@@ -74,6 +74,8 @@ class Trajectory:
         ticks = [w[0] for w in wps]
         if len(set(ticks)) != len(ticks):
             raise ScenarioError("duplicate trajectory waypoint ticks")
+        if not all(math.isfinite(v) for _, p in wps for v in (p.x, p.y, p.yaw)):
+            raise ScenarioError("trajectory waypoint x, y and yaw must be finite")
         object.__setattr__(self, "waypoints", wps)
 
     @classmethod
@@ -121,6 +123,13 @@ class RsuSpec:
     camera: CameraModel
 
 
+def _validate_mount(agent_id: str, mount: RigidTransform) -> None:
+    try:
+        mount.validate()
+    except ValueError as exc:
+        raise ScenarioError(f"mount of {agent_id}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class VehicleSpec:
     """The bus: roof tag mount, geometry, session window, and motion."""
@@ -136,6 +145,7 @@ class VehicleSpec:
     def __post_init__(self):
         if not 0 < self.tag_size < math.inf:
             raise ScenarioError(f"tag_size of {self.id} must be positive")
+        _validate_mount(self.id, self.mount)
 
 
 @dataclass(frozen=True)
@@ -154,6 +164,7 @@ class AttackerSpec:
             raise ScenarioError(f"reaction_latency of {self.id} must be >= 0")
         if not 0 < self.tag_size < math.inf:
             raise ScenarioError(f"tag_size of {self.id} must be positive")
+        _validate_mount(self.id, self.mount)
 
 
 @dataclass(frozen=True)

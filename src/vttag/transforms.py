@@ -39,6 +39,9 @@ class RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
     def validate(self, tol: float = _ORTHO_TOL) -> None:
+        """Raise ValueError unless every entry is finite and the rotation is proper orthonormal."""
+        if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
+            raise ValueError("rotation and translation must be finite")
         err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
         if err > tol:
             raise ValueError(f"rotation not orthonormal (deviation {err:.3e} > {tol:.1e})")

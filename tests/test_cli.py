@@ -13,7 +13,7 @@ from vttag.codes import TagFamily, generate_family
 from vttag.scenarios import make_clone_attack_scenario
 from vttag.transforms import RigidTransform
 
-from test_sim import OUT_OF_RANGE, OUT_OF_RANGE_IDS
+from test_sim import BAD_GEOMETRY, OUT_OF_RANGE, OUT_OF_RANGE_IDS, set_path
 
 
 @pytest.fixture()
@@ -204,6 +204,17 @@ class TestSimRun:
         blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
         target = blob.setdefault(section, {}) if section else blob
         (target[0] if section == "attackers" else target)[key] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(blob))
+        assert run_cli([
+            "sim-run", "--scenario", str(scenario), "--out", "-",
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("path, value", BAD_GEOMETRY)
+    def test_bad_vehicle_geometry_exits_1(self, tmp_path, capsys, path, value):
+        blob = make_clone_attack_scenario(seed=0, reaction_latency=2, ticks=6)
+        set_path(blob, path, value)
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(blob))
         assert run_cli([

@@ -20,15 +20,15 @@ from vttag.detector import (
     Quad,
     _fit_quad_corners,
     _outer_boundary,
+    _sample_grids,
     _window_areas,
     binarize,
     detect,
     estimate_homography,
     extract_quads,
     pose_from_homography,
-    sample_payload,
 )
-from vttag.errors import DegenerateGeometry, SamplingFailed, VttagError
+from vttag.errors import VttagError
 from vttag.imaging import (
     BORDER_UNIT_CORNERS,
     CameraModel,
@@ -309,36 +309,53 @@ class TestHomography:
         src = rng.uniform(-1, 1, (6, 2))
         hom = np.column_stack([src, np.ones(6)]) @ H.T
         dst = hom[:, :2] / hom[:, 2:]
-        est = estimate_homography(src, dst)
+        [est] = estimate_homography(src, dst[None])
         assert np.allclose(est / est[2, 2], H, atol=1e-9)
 
     def test_collinear_points_degenerate(self):
         src = np.array([[0, 0], [1, 1], [2, 2], [3, 3.0]])
         dst = src * 2.0
-        with pytest.raises(DegenerateGeometry):
-            estimate_homography(src, dst)
+        assert np.isnan(estimate_homography(src, dst[None])).all()
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            estimate_homography(np.zeros((3, 2)), np.zeros((3, 2)))
+            estimate_homography(np.zeros((3, 2)), np.zeros((1, 3, 2)))
+
+    def test_only_one_plane_set_and_a_stack_of_image_sets(self, camera):
+        plane = BORDER_UNIT_CORNERS
+        img = plane * 20.0 + 100.0
+        assert estimate_homography(plane, img[None]).shape == (1, 3, 3)
+        with pytest.raises(ValueError):
+            estimate_homography(plane, img)  # one image set, not a stack
+        with pytest.raises(ValueError):
+            estimate_homography(plane[None], img[None])  # a stack of plane sets
+        with pytest.raises(ValueError):
+            pose_from_homography(np.eye(3), camera, 0.7)  # one H, not a stack
+        # a plane set that is not finite spoils every member
+        bad = plane.copy()
+        bad[1, 0] = np.nan
+        assert np.isnan(estimate_homography(bad, np.stack([img, img]))).all()
 
 
 class TestSamplePayload:
+    """_sample_grids, the payload and border-ring sampler."""
+
     def test_fronto_parallel_exact(self, camera, family):
         tag = fronto_tag(7)
         img = render_scene(camera, [tag], family)
         corners = np.array(
             [project(camera, p) for p in tag_border_corners(tag)]
         )
-        H = estimate_homography(BORDER_UNIT_CORNERS, corners)
-        assert sample_payload(img, H, family.n) == family.codes[7]
+        H = estimate_homography(BORDER_UNIT_CORNERS, corners[None])
+        bits, _, _, sampled = _sample_grids(img, H, family.n)
+        assert sampled.tolist() == [True]
+        assert TagCode(family.n, tuple(bits[0].tolist())) == family.codes[7]
 
-    def test_outside_image_raises(self, camera, family):
+    def test_outside_image_not_sampled(self, camera, family):
         img = Image(np.full((240, 320), 96, dtype=np.uint8))
         # homography sending the tag square far outside the frame
         H = np.array([[10.0, 0, 5000.0], [0, 10.0, 5000.0], [0, 0, 1.0]])
-        with pytest.raises(SamplingFailed):
-            sample_payload(img, H, family.n)
+        assert _sample_grids(img, H[None], family.n)[3].tolist() == [False]
 
 
 class TestPoseFromHomography:
@@ -359,10 +376,10 @@ class TestPoseFromHomography:
             corners = np.array(
                 [project(camera, p) for p in tag_border_corners(tag)]
             )
-            H = estimate_homography(BORDER_UNIT_CORNERS, corners)
-            est = pose_from_homography(H, camera, 0.7)
-            assert np.abs(est.translation - t).max() < 1e-6
-            assert np.abs(est.rotation - R).max() < 1e-6
+            H = estimate_homography(BORDER_UNIT_CORNERS, corners[None])
+            [est_R], [est_t] = pose_from_homography(H, camera, 0.7)
+            assert np.abs(est_t - t).max() < 1e-6
+            assert np.abs(est_R - R).max() < 1e-6
 
 
 class TestDetect:
@@ -449,11 +466,15 @@ class TestDetect:
 # detect's stages as one loop over the quads, each stage on one quad, as
 # detect ran before its stages were stacked: detect must return the same
 # detections to the bit
+class _Rejected(Exception):
+    """A reference stage cannot handle its one quad."""
+
+
 def _ref_normalize_points(pts):
     centroid = pts.mean(axis=0)
     rms = np.sqrt(((pts - centroid) ** 2).sum(axis=1).mean())
     if rms < 1e-12:
-        raise DegenerateGeometry("point set collapses to a single point")
+        raise _Rejected("point set collapses to a single point")
     s = np.sqrt(2.0) / rms
     T = np.array(
         [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
@@ -488,7 +509,7 @@ def _ref_estimate_homography(plane_pts, img_pts):
 
     _, s, Vt = np.linalg.svd(A)
     if s[0] < 1e-12 or s[7] / s[0] < 1e-10:
-        raise DegenerateGeometry("correspondences are rank deficient")
+        raise _Rejected("correspondences are rank deficient")
     Hn = Vt[-1].reshape(3, 3)
     H = np.linalg.inv(Tq) @ Hn @ Tp
     if abs(H[2, 2]) > 1e-12:
@@ -548,7 +569,7 @@ def _ref_sample_payload_stats(image, H, n):
     uv = _ref_apply_h(H, all_pts)
     vals, inside = _ref_bilinear_sample(image.pixels, uv)
     if not inside.any():
-        raise SamplingFailed("payload sampling grid lies outside the image")
+        raise _Rejected("payload sampling grid lies outside the image")
     np_, nb = len(payload), len(black)
     pv = vals[:np_]
     black_mean = float(vals[np_ : np_ + nb].mean())
@@ -564,7 +585,7 @@ def _ref_pose_from_homography(H, camera, tag_size):
     n1 = np.linalg.norm(M[:, 0])
     n2 = np.linalg.norm(M[:, 1])
     if n1 < 1e-12 or n2 < 1e-12:
-        raise DegenerateGeometry("homography columns vanish")
+        raise _Rejected("homography columns vanish")
     s = 2.0 / (n1 + n2)
     if (s * M[:, 2])[2] < 0:
         s = -s
@@ -603,7 +624,7 @@ def _reference_detect(image, camera, family, tag_size, params=DetectorParams(), 
         try:
             H = _ref_estimate_homography(BORDER_UNIT_CORNERS, quad.corners)
             observed, black_mean, white_mean = _ref_sample_payload_stats(image, H, family.n)
-        except (DegenerateGeometry, SamplingFailed):
+        except _Rejected:
             continue
         if white_mean - black_mean < params.min_contrast:
             continue
@@ -614,7 +635,7 @@ def _reference_detect(image, camera, family, tag_size, params=DetectorParams(), 
         try:
             H2 = _ref_estimate_homography(BORDER_UNIT_CORNERS, rolled)
             pose = _ref_pose_from_homography(H2, camera, tag_size)
-        except DegenerateGeometry:
+        except _Rejected:
             continue
         if pose.translation[2] <= 0:
             continue
@@ -669,22 +690,25 @@ class TestStackedStages:
                 got = detect(img, camera, family, 0.5)
             assert [_detection_bytes(d) for d in got] == [_detection_bytes(d) for d in want]
             n_dets += len(got)
-            # the single-quad public stages keep their results to the bit
+            # the stages on a stack of one quad keep the reference's results to the bit
             for quad in extract_quads(binarize(img)):
                 n_quads += 1
                 H = _ref_estimate_homography(BORDER_UNIT_CORNERS, quad.corners)
-                assert estimate_homography(BORDER_UNIT_CORNERS, quad.corners).tobytes() == H.tobytes()
+                [got_H] = estimate_homography(BORDER_UNIT_CORNERS, quad.corners[None])
+                assert got_H.tobytes() == H.tobytes()
+                bits, black_mean, white_mean, sampled = _sample_grids(img, H[None], family.n)
                 try:
-                    code = _ref_sample_payload_stats(img, H, family.n)[0]
-                except SamplingFailed:
-                    with pytest.raises(SamplingFailed):
-                        sample_payload(img, H, family.n)
+                    code, black, white = _ref_sample_payload_stats(img, H, family.n)
+                except _Rejected:
+                    assert sampled.tolist() == [False]
                 else:
-                    assert sample_payload(img, H, family.n) == code
+                    assert sampled.tolist() == [True]
+                    assert TagCode(family.n, tuple(bits[0].tolist())) == code
+                    assert (black_mean[0], white_mean[0]) == (black, white)
                 pose = _ref_pose_from_homography(H, camera, 0.5)
-                got_pose = pose_from_homography(H, camera, 0.5)
-                assert got_pose.rotation.tobytes() == pose.rotation.tobytes()
-                assert got_pose.translation.tobytes() == pose.translation.tobytes()
+                [R], [t] = pose_from_homography(H[None], camera, 0.5)
+                assert R.tobytes() == pose.rotation.tobytes()
+                assert t.tobytes() == pose.translation.tobytes()
         # most frames keep every tag, and some quads are not tags
         assert n_dets > 50 and n_quads > n_dets
 
@@ -705,46 +729,40 @@ class TestStackedStages:
             warnings.simplefilter("error")
             got = detect(img, camera, family, 0.35)
             stack = estimate_homography(BORDER_UNIT_CORNERS, np.stack([q.corners for q in quads]))
-            poses = pose_from_homography(stack, camera, 0.35)
+            R, t = pose_from_homography(stack, camera, 0.35)
         want = _reference_detect(img, camera, family, 0.35, quads=quads)
         assert sorted(d.code_index for d in want) == [1, 9]
         assert [_detection_bytes(d) for d in got] == [_detection_bytes(d) for d in want]
-        # the degenerate members come back NaN / None, the others as if alone
+        # the degenerate members come back NaN, the others as if alone
         assert np.isnan(stack[1:3]).all()
-        assert poses[1] is None and poses[2] is None
-        for q, H, pose in zip(quads, stack, poses):
+        assert np.isnan(R[1:3]).all() and np.isnan(t[1:3]).all()
+        for q, H, Rq, tq in zip(quads, stack, R, t):
             if q is collinear or q is collapsed:
-                with pytest.raises(DegenerateGeometry):
-                    estimate_homography(BORDER_UNIT_CORNERS, q.corners)
+                with pytest.raises(_Rejected):
+                    _ref_estimate_homography(BORDER_UNIT_CORNERS, q.corners)
                 continue
             alone = _ref_estimate_homography(BORDER_UNIT_CORNERS, q.corners)
             assert H.tobytes() == alone.tobytes()
             want_pose = _ref_pose_from_homography(alone, camera, 0.35)
-            assert pose.rotation.tobytes() == want_pose.rotation.tobytes()
-            assert pose.translation.tobytes() == want_pose.translation.tobytes()
+            assert Rq.tobytes() == want_pose.rotation.tobytes()
+            assert tq.tobytes() == want_pose.translation.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_members_masked(self, camera, family, bad):
         img = render_scene(camera, [fronto_tag(7)], family)
         quad = detect(img, camera, family, 0.7)[0].quad
-        H = estimate_homography(BORDER_UNIT_CORNERS, quad.corners)
+        [H] = estimate_homography(BORDER_UNIT_CORNERS, quad.corners[None])
         poisoned = H.copy()
         poisoned[0, 1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            poses = pose_from_homography(np.stack([poisoned, H]), camera, 0.7)
+            R, t = pose_from_homography(np.stack([poisoned, H]), camera, 0.7)
             pts = np.stack([quad.corners, quad.corners])
             pts[0, 2, 0] = bad
             stack = estimate_homography(BORDER_UNIT_CORNERS, pts)
-            with pytest.raises(DegenerateGeometry):
-                pose_from_homography(poisoned, camera, 0.7)
-            with pytest.raises(DegenerateGeometry):
-                estimate_homography(BORDER_UNIT_CORNERS, pts[0])
-            with pytest.raises(SamplingFailed):
-                sample_payload(img, poisoned, family.n)
-        alone = pose_from_homography(H, camera, 0.7)
-        assert poses[0] is None
-        assert poses[1].rotation.tobytes() == alone.rotation.tobytes()
+            alone_R, alone_t = pose_from_homography(H[None], camera, 0.7)
+        assert np.isnan(R[0]).all() and np.isnan(t[0]).all()
+        assert R[1].tobytes() == alone_R[0].tobytes() and t[1].tobytes() == alone_t[0].tobytes()
         assert np.isnan(stack[0]).all() and stack[1].tobytes() == H.tobytes()
 
 

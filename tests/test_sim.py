@@ -142,6 +142,25 @@ OUT_OF_RANGE_IDS = [
     for i, (s, k, v) in enumerate(OUT_OF_RANGE)
 ]
 
+# (key path into the clone scenario dict, value) of a vehicle's geometry that
+# a scenario must reject when it is loaded; the non-finite ones once loaded
+# and then crashed in run_scenario, and the scaled mount ran
+BAD_GEOMETRY = [
+    pytest.param(("bus", "mount", "t", 0), float("nan"), id="bus-mount-t=nan"),
+    pytest.param(("bus", "mount", "R", 0), float("nan"), id="bus-mount-R=nan"),
+    pytest.param(("bus", "mount", "R"), [2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0], id="bus-mount-R=2I"),
+    pytest.param(("bus", "trajectory", 0, "x"), float("nan"), id="bus-waypoint-x=nan"),
+    pytest.param(("attackers", 0, "mount", "t", 2), float("inf"), id="attacker-mount-t=inf"),
+    pytest.param(("attackers", 0, "trajectory", 0, "yaw"), float("inf"),
+                 id="attacker-waypoint-yaw=inf"),
+]
+
+
+def set_path(blob: dict, path: tuple, value) -> None:
+    for key in path[:-1]:
+        blob = blob[key]
+    blob[path[-1]] = value
+
 
 class TestScenarioConfig:
     def test_baseline_builds(self):
@@ -207,6 +226,13 @@ class TestScenarioConfig:
             camera[key] = value
         else:
             camera["pose"][key][index] = value
+        with pytest.raises(ScenarioError):
+            ScenarioConfig.from_json_dict(blob)
+
+    @pytest.mark.parametrize("path, value", BAD_GEOMETRY)
+    def test_rejects_bad_vehicle_geometry(self, path, value):
+        blob = make_clone_attack_scenario(seed=0, reaction_latency=2, ticks=6)
+        set_path(blob, path, value)
         with pytest.raises(ScenarioError):
             ScenarioConfig.from_json_dict(blob)
 

@@ -45,6 +45,15 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3)).validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("part", ["rotation", "translation"])
+    def test_validate_rejects_non_finite(self, part, bad):
+        # a NaN rotation entry once passed, since NaN > tol is False
+        r, t = np.eye(3), np.zeros(3)
+        (r if part == "rotation" else t)[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RigidTransform(r, t).validate()
+
     def test_json_round_trip(self):
         t = RigidTransform(rot_z(0.9), np.array([0.1, 0.2, 0.3]))
         back = RigidTransform.from_json_dict(t.to_json_dict())
