@@ -16,7 +16,7 @@ from .codes import (
     identity_space_size,
     rotate90,
 )
-from .detector import Detection, DetectorParams, Quad, detect
+from .detector import Detection, Quad, detect
 from .errors import (
     DegenerateProjection,
     GenerationExhausted,
@@ -66,7 +66,6 @@ __all__ = [
     "Image",
     "render_tag_bitmap",
     "render_scene",
-    "DetectorParams",
     "Quad",
     "Detection",
     "detect",

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .codes import TagFamily, generate_family
-from .detector import DetectorParams, detect
+from .detector import detect
 from .errors import VttagError
 from .imaging import CameraModel, Image, render_tag_bitmap
 from .simulate import ScenarioConfig, run_scenario
@@ -42,22 +42,30 @@ def _load_json(path: str, what: str) -> dict:
         raise _CliError(f"corrupt {what} file {path}: {exc}") from exc
 
 
+# what a JSON value of the wrong kind raises in a from_json_dict;
+# OverflowError is Infinity in an integer field
+_BAD_FIELD = (KeyError, OverflowError, TypeError, ValueError)
+
+
 def _load_family(path: str) -> TagFamily:
     d = _load_json(path, "family")
     try:
         return TagFamily.from_json_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         raise _CliError(f"corrupt family file {path}: {exc}") from exc
 
 
 def _cmd_family_gen(args) -> None:
-    family = generate_family(
-        n=args.n,
-        d_min=args.d_min,
-        max_codes=args.count,
-        seed=args.seed,
-        budget=args.budget,
-    )
+    try:
+        family = generate_family(
+            n=args.n,
+            d_min=args.d_min,
+            max_codes=args.count,
+            seed=args.seed,
+            budget=args.budget,
+        )
+    except ValueError as exc:  # a size, distance, count or budget out of range
+        raise _CliError(str(exc)) from exc
     if len(family) < args.count:
         print(
             f"warning: found {len(family)} of {args.count} requested codes "
@@ -84,7 +92,7 @@ def _cmd_detect(args) -> None:
     cam_dict = _load_json(args.camera, "camera")
     try:
         camera = CameraModel.from_json_dict(cam_dict)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         raise _CliError(f"corrupt camera file {args.camera}: {exc}") from exc
     img_path = Path(args.image)
     if not img_path.is_file():
@@ -94,8 +102,7 @@ def _cmd_detect(args) -> None:
     except (OSError, ValueError) as exc:
         raise _CliError(f"corrupt image file {args.image}: {exc}") from exc
     try:
-        params = DetectorParams(window=args.window)
-        detections = detect(image, camera, family, args.tag_size, params)
+        detections = detect(image, camera, family, args.tag_size, args.window)
     except ValueError as exc:  # a window or tag size out of range
         raise _CliError(str(exc)) from exc
     report = [d.to_json_dict() for d in detections]

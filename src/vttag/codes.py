@@ -564,23 +564,18 @@ class DecodeResult:
         return self.rotation * 90
 
 
-def decode_code(
-    observed: TagCode, family: TagFamily, t_max: Optional[int] = None
-) -> Optional[DecodeResult]:
-    """Decode an observed grid against a family, correcting up to t_max bit errors.
+def decode_code(observed: TagCode, family: TagFamily) -> Optional[DecodeResult]:
+    """Decode an observed grid against a family, correcting bit errors within its radius.
 
-    t_max is clamped to the unique-decoding radius floor((d_min-1)/2).
-    Returns None when no (code, rotation) lies within the correction budget.
+    The radius is the family's correction_budget, the unique-decoding
+    radius floor((d_min-1)/2). Returns None when no (code, rotation) lies
+    within it.
     """
     if observed.n != family.n:
         raise ValueError(f"size mismatch: observed n={observed.n}, family n={family.n}")
-    if t_max is None:
-        t_max = family.correction_budget
-    t_max = min(t_max, family.correction_budget)
-
     dists = np.bitwise_count(family._rotation_table ^ np.uint64(observed.to_int()))
     flat = int(np.argmin(dists))
     best = int(dists.reshape(-1)[flat])
-    if best > t_max:
+    if best > family.correction_budget:
         return None
     return DecodeResult(index=flat // 4, rotation=flat % 4, distance=best)

@@ -26,7 +26,6 @@ from .imaging import BORDER_UNIT_CORNERS, CameraModel, Image
 from .transforms import RigidTransform
 
 __all__ = [
-    "DetectorParams",
     "Quad",
     "Detection",
     "binarize",
@@ -37,28 +36,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DetectorParams:
-    """Detection thresholds; defaults sized for 640x480 frames."""
-
-    window: int = 15  # half-width of the adaptive-mean neighborhood, px
-    offset: float = 10.0  # gray levels below local mean to count as dark
-    min_area: float = 100.0  # minimum quad area, px^2
-    fill_min: float = 0.2  # dark-component pixels / quad area, lower bound
-    fill_max: float = 1.15  # and upper bound
-    min_contrast: float = 30.0  # white-border minus black-border sample mean, gray levels
-    t_max: Optional[int] = None  # bit-correction budget; None = family radius
-
-    def __post_init__(self):
-        if not isinstance(self.window, Integral) or self.window < 1:
-            raise ValueError("window must be an integer >= 1")
-        for name in ("offset", "min_area", "fill_min", "fill_max", "min_contrast"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.t_max is not None and (
-            not isinstance(self.t_max, Integral) or self.t_max < 0
-        ):
-            raise ValueError("t_max must be None or an integer >= 0")
+# Detection thresholds, sized for 640x480 frames
+_OFFSET = 10  # gray levels below the local mean that count as dark
+_MIN_AREA = 100.0  # minimum quad area, px^2
+_FILL_MIN = 0.2  # dark-component pixels / quad area, lower bound
+_FILL_MAX = 1.15  # and upper bound
+_MIN_CONTRAST = 30.0  # white-border minus black-border sample mean, gray levels
 
 
 @dataclass(frozen=True)
@@ -118,9 +101,9 @@ def _sum_type(h: int, w: int) -> np.dtype:
 
     No running sum of an h x w image exceeds 255*h*w, and no window area
     exceeds h*w, so this signed type holds every sum and every
-    (px + offset) * area with |offset| <= 255, negative ones included.
+    (px + _OFFSET) * area.
     """
-    return np.min_scalar_type(-511 * h * w)
+    return np.min_scalar_type(-(255 + _OFFSET) * h * w)
 
 
 @lru_cache(maxsize=8)
@@ -139,44 +122,34 @@ def _window_areas(h: int, w: int, window: int) -> np.ndarray:
     return area
 
 
-def binarize(image: Image, window: int = 15, offset: float = 10.0) -> Image:
-    """Mark pixels strictly darker than their clipped local mean minus offset.
+def binarize(image: Image, window: int = 15) -> Image:
+    """Mark pixels strictly darker than their clipped local mean minus _OFFSET.
 
     Foreground (dark) pixels are 255 in the result. The local mean is taken
     over the (2*window+1)^2 neighborhood clipped to the image, from two
     separable running sums (down the columns, then along the rows), and a
-    window-area table cached per (height, width, window). An integral offset
-    is tested as (px + offset) * area < sum, in integers; any other offset
-    against sum / area - offset, in float64.
+    window-area table cached per (height, width, window). A pixel is
+    foreground when (px + _OFFSET) * area < sum, in integers. Raises
+    ValueError unless window is an integer >= 1.
 
-    A frame whose grey range max - min is at most offset (an empty frame
+    A frame whose grey range max - min is at most _OFFSET (an empty frame
     too) has no foreground, so it gets an all-zero mask without any window
-    sums: every clipped window mean is at most max <= min + offset <=
-    px + offset. The float64 test agrees, since rounding is monotone and
-    max and min are representable: sum / area rounds to at most max, and
-    max - offset to at most min. A NaN offset fails the comparison.
+    sums: every clipped window mean is at most max <= min + _OFFSET <=
+    px + _OFFSET.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    if not isinstance(window, Integral) or window < 1:
+        raise ValueError("window must be an integer >= 1")
     px = image.pixels
     h, w = px.shape
-    if px.size == 0 or int(px.max()) - int(px.min()) <= offset:
+    if px.size == 0 or int(px.max()) - int(px.min()) <= _OFFSET:
         return Image(np.zeros((h, w), dtype=np.uint8))
     acc = _sum_type(h, w)
     sums = _window_sums(_window_sums(px, window, acc).T, window, acc).T
     area = _window_areas(h, w, window)
-    if float(offset).is_integer() and abs(offset) <= 255:
-        # the same mask as the division below: a mean that is not an integer
-        # lies at least 1/area from one, far beyond float64's rounding, so
-        # px + offset < sum / area in float64 exactly when it holds in integers
-        lhs = px.astype(acc)
-        lhs += int(offset)
-        lhs *= area
-        fg = lhs < sums
-    else:
-        thr = sums / area
-        thr -= offset
-        fg = px < thr
+    lhs = px.astype(acc)
+    lhs += _OFFSET
+    lhs *= area
+    fg = lhs < sums
     return Image(fg.view(np.uint8) * np.uint8(255))
 
 
@@ -323,12 +296,7 @@ def _push_outward(corners: np.ndarray) -> np.ndarray:
     return corners + 0.5 * (n[_PREV] + n)
 
 
-def extract_quads(
-    binary: Image,
-    min_area: float = 100.0,
-    fill_min: float = 0.2,
-    fill_max: float = 1.15,
-) -> list[Quad]:
+def extract_quads(binary: Image) -> list[Quad]:
     """Trace dark connected components and keep the quad-shaped ones.
 
     Corners are reported in counter-clockwise screen order starting at the
@@ -345,7 +313,7 @@ def extract_quads(
             continue
         comp = labels[sl] == i
         npix = np.count_nonzero(comp)
-        if npix < max(8, min_area * 0.1):
+        if npix < max(8, _MIN_AREA * 0.1):
             continue
         rs, cs = _outer_boundary(comp)
         # boundary (row, col) -> continuous pixel-center coords (x, y)
@@ -358,10 +326,10 @@ def extract_quads(
             corners = corners[::-1]
         corners = _push_outward(corners)
         area = abs(_shoelace(corners))
-        if area < min_area:
+        if area < _MIN_AREA:
             continue
         ratio = npix / area
-        if not (fill_min <= ratio <= fill_max):
+        if not (_FILL_MIN <= ratio <= _FILL_MAX):
             continue
         first = int(np.argmin((corners**2).sum(axis=1)))
         corners = np.concatenate([corners[first:], corners[:first]])
@@ -598,7 +566,7 @@ def detect(
     camera: CameraModel,
     family: TagFamily,
     tag_size: float,
-    params: DetectorParams = DetectorParams(),
+    window: int = 15,
 ) -> list[Detection]:
     """Full pipeline: binarize, quads, decode, orientation-corrected pose.
 
@@ -606,17 +574,12 @@ def detect(
     silently. Detections come back sorted by (code_index, reproj_err).
     Each stage after extract_quads runs once over the stack of the quads
     still standing, except decode_code, which runs per quad.
-    Raises ValueError unless tag_size is positive and finite.
+    window is binarize's. Raises ValueError unless tag_size is positive
+    and finite and window is an integer >= 1.
     """
     if not 0 < tag_size < math.inf:
         raise ValueError("tag_size must be positive")
-    binary = binarize(image, window=params.window, offset=params.offset)
-    quads = extract_quads(
-        binary,
-        min_area=params.min_area,
-        fill_min=params.fill_min,
-        fill_max=params.fill_max,
-    )
+    quads = extract_quads(binarize(image, window))
     if not quads:
         return []
     corners = np.stack([quad.corners for quad in quads])
@@ -624,10 +587,10 @@ def detect(
     fitted = np.flatnonzero(~np.isnan(H[:, 2, 2]))
     bits, black_mean, white_mean, sampled = _sample_grids(image, H[fitted], family.n)
     # a real tag shows its white border clearly brighter than its black one
-    kept = sampled & ~(white_mean - black_mean < params.min_contrast)
+    kept = sampled & ~(white_mean - black_mean < _MIN_CONTRAST)
     decoded = []  # (quad index, DecodeResult)
     for i, b in zip(fitted[kept], bits[kept]):
-        res = decode_code(TagCode(family.n, tuple(b.tolist())), family, params.t_max)
+        res = decode_code(TagCode(family.n, tuple(b.tolist())), family)
         if res is not None:
             decoded.append((i, res))
     if not decoded:

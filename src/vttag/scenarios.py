@@ -50,7 +50,6 @@ def make_baseline_scenario(seed: int = 0, ticks: int = 300, noise_sigma: float =
     last = ticks - 1
     return {
         "ticks": ticks,
-        "dt": 0.1,
         "seed": seed,
         "family": {"n": 5, "d_min": 9, "count": 30, "seed": 42},
         "noise_sigma": noise_sigma,
@@ -94,7 +93,6 @@ def make_clone_attack_scenario(
     last = ticks - 1
     return {
         "ticks": ticks,
-        "dt": 0.1,
         "seed": seed,
         "family": {"n": 5, "d_min": 9, "count": 30, "seed": 42},
         "noise_sigma": 1.0,
@@ -122,7 +120,6 @@ def make_clone_attack_scenario(
                 "initial_code": initial_code,
                 "tag_size": 1.6,
                 "mount": _roof_mount(),
-                "line_of_sight": True,
                 "trajectory": [
                     {"tick": 0, "x": 1.0 + jx, "y": -0.9 + jy, "yaw": 0.0},
                     {"tick": last, "x": 1.6 + jx, "y": -0.9 + jy, "yaw": 0.0},

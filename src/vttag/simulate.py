@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .codes import TagFamily, generate_family
-from .detector import DetectorParams, detect
+from .detector import detect
 from .errors import DegenerateProjection, ScenarioError
 from .imaging import CameraModel, PlacedTag, frame_noise, render_scene
 from .localization import PlanarPose, PoseEstimate, detection_weight, vehicle_pose_from_detection
@@ -157,7 +157,6 @@ class AttackerSpec:
     tag_size: float
     mount: RigidTransform
     trajectory: Trajectory
-    line_of_sight: bool = True
 
     def __post_init__(self):
         if self.reaction_latency < 0:
@@ -184,7 +183,6 @@ class NetworkSpec:
 @dataclass(frozen=True)
 class ScenarioConfig:
     ticks: int
-    dt: float
     seed: int
     family_n: int
     family_d_min: int
@@ -197,15 +195,12 @@ class ScenarioConfig:
     noise_sigma: float = 0.0
     max_rounds: int = 3
     delta_sync: int = 5
-    detector: DetectorParams = field(default_factory=DetectorParams)
 
     def __post_init__(self):
         object.__setattr__(self, "rsus", tuple(self.rsus))
         object.__setattr__(self, "attackers", tuple(self.attackers))
         if self.ticks < 1:
             raise ScenarioError("ticks must be >= 1")
-        if self.dt <= 0:
-            raise ScenarioError("dt must be positive")
         if not self.rsus:
             raise ScenarioError("at least one RSU required")
         if self.max_rounds < 1:
@@ -238,15 +233,12 @@ class ScenarioConfig:
                     tag_size=float(a["tag_size"]),
                     mount=RigidTransform.from_json_dict(a["mount"]),
                     trajectory=Trajectory.from_json_list(a["trajectory"]),
-                    line_of_sight=bool(a.get("line_of_sight", True)),
                 )
                 for a in d.get("attackers", [])
             )
             net = d.get("network", {})
-            det = d.get("detector", {})
             return cls(
                 ticks=int(d["ticks"]),
-                dt=float(d.get("dt", 0.1)),
                 seed=int(d["seed"]),
                 family_n=int(fam["n"]),
                 family_d_min=int(fam["d_min"]),
@@ -270,9 +262,10 @@ class ScenarioConfig:
                 noise_sigma=float(d.get("noise_sigma", 0.0)),
                 max_rounds=int(d.get("max_rounds", 3)),
                 delta_sync=int(d.get("delta_sync", 5)),
-                detector=DetectorParams(**det),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        # AttributeError: a section that is not an object; OverflowError:
+        # Infinity in an integer field
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ScenarioError(f"invalid scenario config: {exc}") from exc
 
     @classmethod
@@ -428,8 +421,7 @@ class Session:
     """Every agent of one protocol session, and the channel between them.
 
     rsus maps each RSU id to its state, in the order the RSUs step;
-    attackers maps each attacker id to its state; blind holds the ids of
-    attackers that cannot see the bus's screen. channel is anything with
+    attackers maps each attacker id to its state. channel is anything with
     Channel's send and deliver. step_session advances a session in place.
     """
 
@@ -438,7 +430,6 @@ class Session:
     rsus: dict
     attackers: dict
     channel: Channel
-    blind: frozenset = frozenset()
 
 
 def step_session(s: Session, t: int, see, log, estimate=None) -> tuple:
@@ -471,7 +462,7 @@ def step_session(s: Session, t: int, see, log, estimate=None) -> tuple:
 
     bus_code = bus_screen(s.bus, t)
     for aid, atk in s.attackers.items():
-        res = attacker_step(atk, None if aid in s.blind else bus_code, t)
+        res = attacker_step(atk, bus_code, t)
         s.attackers[aid] = record(res, agent=aid)
     frames = see(t, bus_code, {aid: a.displayed_code for aid, a in s.attackers.items()})
 
@@ -512,7 +503,6 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
             for a in config.attackers
         },
         channel=Channel(config.network.latency, config.network.drop, config.seed),
-        blind=frozenset(a.id for a in config.attackers if not a.line_of_sight),
     )
     cameras = {r.id: r.camera for r in config.rsus}
     estimate = partial(_estimate_from_detection, cameras, config.bus.mount)
@@ -572,9 +562,7 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
             )
             # the frame is a copy, so the buffer is free for the next draw
             draw_noise(ri, t + 1)
-            frames[rsu.id] = detect(
-                img, rsu.camera, family, config.bus.tag_size, config.detector
-            )
+            frames[rsu.id] = detect(img, rsu.camera, family, config.bus.tag_size)
         return frames
 
     try:
@@ -611,7 +599,6 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
 
     cfg_echo = {
         "ticks": config.ticks,
-        "dt": config.dt,
         "seed": config.seed,
         "family": {
             "n": config.family_n,

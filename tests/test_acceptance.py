@@ -18,7 +18,7 @@ import pytest
 
 from vttag.cli import run_cli
 from vttag.codes import TagCode, decode_code, generate_family, hamming, identity_space_size, rotate90
-from vttag.detector import DetectorParams, detect
+from vttag.detector import detect
 from vttag.imaging import BORDER_UNIT_CORNERS, CameraModel, PlacedTag, project, render_scene, tag_border_corners
 from vttag.scenarios import make_baseline_scenario, make_clone_attack_scenario
 from vttag.simulate import ScenarioConfig, run_scenario
@@ -172,7 +172,6 @@ def test_criterion_4_render_detect_round_trip(family, verdict):
     t0 = time.perf_counter()
     cam = CameraModel(fx=750.0, fy=750.0, cx=320.0, cy=240.0, width=640, height=480)
     tag_size = 1.6
-    params = DetectorParams(window=20)
     rng = np.random.default_rng(7)
 
     n_trials = 200
@@ -188,7 +187,7 @@ def test_criterion_4_render_detect_round_trip(family, verdict):
         for trial, (pose, idx) in enumerate(poses):
             tag = PlacedTag(index=idx, tag_size=tag_size, pose=pose)
             img = render_scene(cam, [tag], family, noise_sigma=sigma, seed=trial)
-            dets = detect(img, cam, family, tag_size, params)
+            dets = detect(img, cam, family, tag_size, window=20)
             if len(dets) != 1:
                 continue
             d = dets[0]

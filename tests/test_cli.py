@@ -13,7 +13,12 @@ from vttag.codes import TagFamily, generate_family
 from vttag.scenarios import make_clone_attack_scenario
 from vttag.transforms import RigidTransform
 
-from test_sim import BAD_GEOMETRY, OUT_OF_RANGE, OUT_OF_RANGE_IDS, set_path
+from test_sim import BAD_GEOMETRY, MALFORMED, OUT_OF_RANGE, OUT_OF_RANGE_IDS, set_path
+
+
+def assert_one_error_line(capsys) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 @pytest.fixture()
@@ -58,6 +63,17 @@ class TestFamilyGen:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "option, value", [("--count", "0"), ("--n", "1"), ("--d-min", "0"), ("--budget", "2")]
+    )
+    def test_out_of_range_setting_exits_1(self, capsys, option, value):
+        # argparse keeps the last of a repeated option
+        assert run_cli([
+            "family-gen", "--n", "4", "--d-min", "6", "--count", "3",
+            option, value, "--out", "-",
+        ]) == 1
+        assert_one_error_line(capsys)
 
 
 class TestTagRender:
@@ -166,6 +182,32 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert run_cli(["--help"]) == 0
 
+    @pytest.mark.parametrize("command, bad", [
+        ("tag-render", "family"), ("detect", "family"), ("detect", "camera"),
+    ])
+    def test_infinite_integer_in_input_exits_1(self, tmp_path, capsys, command, bad):
+        # json reads Infinity into a float, which int() cannot take
+        family = generate_family(4, 6, 8, seed=7).to_json_dict()
+        camera = CameraModel(fx=500.0, fy=500.0, cx=80.0, cy=60.0,
+                             width=160, height=120).to_json_dict()
+        if bad == "family":
+            family["n"] = float("inf")
+        else:
+            camera["width"] = float("inf")
+        paths = {}
+        for name, blob in (("family", family), ("camera", camera)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(blob))
+        image = tmp_path / "blank.pgm"
+        Image(np.full((120, 160), 96, dtype=np.uint8)).save_pgm(image)
+        argv = {
+            "tag-render": ["--id", "0", "--out", str(tmp_path / "t.pgm")],
+            "detect": ["--image", str(image), "--camera", str(paths["camera"]),
+                       "--tag-size", "0.6", "--out", "-"],
+        }[command]
+        assert run_cli([command, "--family", str(paths["family"])] + argv) == 1
+        assert_one_error_line(capsys)
+
 
 class TestSimRun:
     def test_deterministic_outputs(self, tmp_path):
@@ -202,7 +244,7 @@ class TestSimRun:
     )
     def test_value_below_one_exits_1(self, tmp_path, capsys, section, key, value):
         blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
-        target = blob.setdefault(section, {}) if section else blob
+        target = blob[section] if section else blob
         (target[0] if section == "attackers" else target)[key] = value
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(blob))
@@ -210,6 +252,17 @@ class TestSimRun:
             "sim-run", "--scenario", str(scenario), "--out", "-",
         ]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("path, value", MALFORMED)
+    def test_malformed_scenario_exits_1(self, tmp_path, capsys, path, value):
+        blob = make_clone_attack_scenario(seed=0, reaction_latency=2, ticks=6)
+        set_path(blob, path, value)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(blob))
+        assert run_cli([
+            "sim-run", "--scenario", str(scenario), "--out", "-",
+        ]) == 1
+        assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("path, value", BAD_GEOMETRY)
     def test_bad_vehicle_geometry_exits_1(self, tmp_path, capsys, path, value):

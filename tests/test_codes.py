@@ -527,19 +527,14 @@ class TestDecode:
             assert (res.index, res.rotation) == (idx, rot)
             assert res.distance == nflips
 
-    def test_t_max_clamped(self, family):
-        # an enormous budget must still clamp to the unique-decoding radius
+    def test_budget_is_the_family_radius(self, family):
+        # one flip past the unique-decoding radius never decodes beyond it
         code = family.codes[0]
         bits = list(code.bits)
         for p in range(family.correction_budget + 1):
             bits[p] = not bits[p]
-        res = decode_code(TagCode(5, tuple(bits)), family, t_max=999)
+        res = decode_code(TagCode(5, tuple(bits)), family)
         assert res is None or res.distance <= family.correction_budget
-
-    def test_t_max_zero_rejects_any_flip(self, family):
-        bits = list(family.codes[0].bits)
-        bits[0] = not bits[0]
-        assert decode_code(TagCode(5, tuple(bits)), family, t_max=0) is None
 
     def test_size_mismatch(self, family):
         with pytest.raises(ValueError):

@@ -129,12 +129,6 @@ OUT_OF_RANGE = [
     ("bus", "tag_size", float("nan")),
     (None, "noise_sigma", -1.0),
     (None, "noise_sigma", float("nan")),
-    # the clone scenario has no "detector" section; these cases add one
-    ("detector", "window", 0),
-    ("detector", "window", 15.5),
-    ("detector", "t_max", -1),
-    ("detector", "offset", float("nan")),
-    ("detector", "min_contrast", float("nan")),
 ]
 # pytest ids: "section-key", with "=value" after the first case of a key
 OUT_OF_RANGE_IDS = [
@@ -153,6 +147,21 @@ BAD_GEOMETRY = [
     pytest.param(("attackers", 0, "mount", "t", 2), float("inf"), id="attacker-mount-t=inf"),
     pytest.param(("attackers", 0, "trajectory", 0, "yaw"), float("inf"),
                  id="attacker-waypoint-yaw=inf"),
+]
+
+
+# (key path into the clone scenario dict, value) of a malformed file that
+# loading must reject as a ScenarioError, not as the OverflowError or
+# AttributeError it raises inside: json reads Infinity into a float, which
+# int() cannot take, and a list has no .get
+MALFORMED = [
+    pytest.param(("ticks",), float("inf"), id="ticks=inf"),
+    pytest.param(("seed",), float("inf"), id="seed=inf"),
+    pytest.param(("bus", "trajectory", 0, "tick"), float("inf"), id="waypoint-tick=inf"),
+    pytest.param(("family", "n"), float("inf"), id="family-n=inf"),
+    pytest.param(("rsus", 0, "camera", "width"), float("inf"), id="camera-width=inf"),
+    pytest.param(("network",), [], id="network=[]"),
+    pytest.param(("bus",), [], id="bus=[]"),
 ]
 
 
@@ -206,7 +215,7 @@ class TestScenarioConfig:
     )
     def test_rejects_values_below_one(self, section, key, value):
         blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
-        target = blob.setdefault(section, {}) if section else blob
+        target = blob[section] if section else blob
         (target[0] if section == "attackers" else target)[key] = value
         with pytest.raises(ScenarioError):
             ScenarioConfig.from_json_dict(blob)
@@ -235,6 +244,15 @@ class TestScenarioConfig:
         set_path(blob, path, value)
         with pytest.raises(ScenarioError):
             ScenarioConfig.from_json_dict(blob)
+
+    @pytest.mark.parametrize("path, value", MALFORMED)
+    def test_rejects_malformed_values(self, tmp_path, path, value):
+        blob = make_clone_attack_scenario(seed=0, reaction_latency=2, ticks=6)
+        set_path(blob, path, value)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(blob))
+        with pytest.raises(ScenarioError):
+            ScenarioConfig.load(scenario)
 
     def test_load_bad_config_scenario_error(self, tmp_path):
         path = tmp_path / "bad.json"
