@@ -81,7 +81,10 @@ def _cmd_tag_render(args) -> None:
         raise _CliError(
             f"tag id {args.id} outside family of {len(family)} codes"
         )
-    img = render_tag_bitmap(family, args.id, args.px)
+    try:
+        img = render_tag_bitmap(family, args.id, args.px)
+    except ValueError as exc:  # pixels per cell out of range
+        raise _CliError(str(exc)) from exc
     if args.out == "-":
         raise _CliError("tag-render writes binary PGM; --out - is not supported")
     img.save_pgm(args.out)

@@ -36,6 +36,9 @@ def identity_space_size(n: int) -> int:
     return 2 ** (n * n)
 
 
+_MAX_N = 8  # a family's codes pack into uint64 words, so n * n <= 64
+
+
 @dataclass(frozen=True)
 class TagCode:
     """Payload bit grid of a square tag: n cells per side, row-major, True = white."""
@@ -138,6 +141,8 @@ class TagFamily:
     codes: tuple
 
     def __post_init__(self):
+        if not 2 <= self.n <= _MAX_N:
+            raise ValueError(f"n must be in 2..{_MAX_N}, got {self.n}")
         object.__setattr__(self, "codes", tuple(self.codes))
         for c in self.codes:
             if c.n != self.n:
@@ -406,10 +411,11 @@ def generate_family(
     both phases, so a family the greedy pass completes never reaches the
     swap phase. Deterministic given all arguments.
 
-    Raises GenerationExhausted if the search ends with zero acceptances.
+    Raises ValueError unless 2 <= n <= 8, and GenerationExhausted if the
+    search ends with zero acceptances.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if not 2 <= n <= _MAX_N:
+        raise ValueError(f"n must be in 2..{_MAX_N}, got {n}")
     if d_min < 1:
         raise ValueError("d_min must be >= 1")
     if max_codes < 1:

@@ -3,7 +3,7 @@
 The pipeline is deliberately plain: adaptive mean thresholding from
 separable running sums, the outer boundary of each dark component ordered
 by angle around its centroid (as in AprilTag 2), farthest-point quad
-fitting, a Hartley-normalized DLT homography, border-referenced cell
+fitting, a closed-form square-to-quad homography, border-referenced cell
 thresholding, and pose recovery from the homography columns. Every stage
 is deterministic; corner accuracy comes from averaging near-tied boundary
 pixels rather than gradient-based refinement.
@@ -349,78 +349,44 @@ def _mask_non_finite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, finite
 
 
-def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Similarity transforms taking each point set of a (q, k, 2) stack to centroid 0 and RMS radius sqrt(2).
+_BORDER_CORNERS = np.column_stack([BORDER_UNIT_CORNERS, np.ones(4)])  # homogeneous
+_OPPOSITE = np.array([2, 3, 0, 1])  # index of corner k+2
 
-    Returns (normalized points, transforms (q, 3, 3), ok); ok is False for a
-    set that collapses to a single point or holds a non-finite point, whose
-    points and transform are then meaningless.
+# H @ _QUARTER_TURNS[r] maps border corner k where H maps corner k - r: the
+# turn (x, y) -> (y, -x) takes each corner to the one before it. Its powers
+# are signed permutations, so the product is exact in floating point.
+_QUARTER_TURNS = np.stack([
+    np.linalg.matrix_power(np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 1]]), r) for r in range(4)
+])
+
+
+def estimate_homography(corners) -> np.ndarray:
+    """Homographies, H[2,2] = 1, taking BORDER_UNIT_CORNERS onto each quad of a (q, 4, 2) stack.
+
+    The square-to-quad map in closed form (Heckbert 1989, sec. 2.2.3), in
+    triangle areas. With A_k twice the signed area of the other three
+    corners in cyclic order, the homogeneous corners p_k satisfy
+    A_0 p_0 - A_1 p_1 + A_2 p_2 - A_3 p_3 = 0, so sum_k A_k p_k b_k^T takes
+    border corner b_k to 4 A_k p_k. A member with a non-finite corner,
+    three collinear corners or parallel diagonals is all NaN; every member
+    is as if fitted alone. Raises ValueError unless corners is (q, 4, 2).
     """
-    pts, ok = _mask_non_finite(pts)
-    centroid = pts.mean(axis=1)
-    d = pts - centroid[:, None]
-    rms = np.sqrt((d**2).sum(axis=2).mean(axis=1))
-    ok &= rms >= 1e-12
-    s = np.sqrt(2.0) / np.where(ok, rms, 1.0)
-    T = np.zeros((len(pts), 3, 3))
-    T[:, 0, 0] = T[:, 1, 1] = s
-    T[:, :2, 2] = -s[:, None] * centroid
-    T[:, 2, 2] = 1.0
-    return d * s[:, None, None], T, ok
-
-
-def estimate_homography(plane_pts, img_pts) -> np.ndarray:
-    """Hartley-normalized direct linear transforms, one per image point set.
-
-    plane_pts is one set of k >= 4 points (k, 2), normalized once and shared
-    by every member of the stack img_pts (q, k, 2). Returns a (q, 3, 3)
-    stack, each H with H[2,2] scaled to 1 where that entry is nonzero. A
-    member whose set collapses to a single point or holds a non-finite
-    point, or whose system has rank < 8 (e.g. collinear plane points), is
-    all NaN; every other member is as if fitted alone. Raises ValueError
-    for any other shapes.
-    """
-    img = np.asarray(img_pts, dtype=float)
-    plane = np.asarray(plane_pts, dtype=float)
-    if plane.ndim != 2 or plane.shape[1] != 2 or img.ndim != 3 or img.shape[1:] != plane.shape:
-        raise ValueError("need a plane set (k, 2) and a stack of image sets (q, k, 2)")
-    if len(plane) < 4:
-        raise ValueError("need >= 4 point correspondences")
-    q, k = img.shape[:2]
-    pn, Tp, plane_ok = _normalize_points(plane[None])
-    qn, Tq, ok = _normalize_points(img)
-    ok &= plane_ok
-
-    A = np.zeros((q, 2 * k, 9))
-    x, y = pn[..., 0], pn[..., 1]
-    u, v = qn[..., 0], qn[..., 1]
-    A[:, 0::2, 0] = x
-    A[:, 0::2, 1] = y
-    A[:, 0::2, 2] = 1.0
-    A[:, 0::2, 6] = -u * x
-    A[:, 0::2, 7] = -u * y
-    A[:, 0::2, 8] = -u
-    A[:, 1::2, 3] = x
-    A[:, 1::2, 4] = y
-    A[:, 1::2, 5] = 1.0
-    A[:, 1::2, 6] = -v * x
-    A[:, 1::2, 7] = -v * y
-    A[:, 1::2, 8] = -v
-
-    H = np.full((q, 3, 3), np.nan)
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        _, s, Vt = np.linalg.svd(A[idx])
-        # rank < 8 when s[0] < 1e-12 or s[7] / s[0] < 1e-10
-        small = s[:, 0] < 1e-12
-        full = ~small & ~(s[:, 7] / np.where(small, 1.0, s[:, 0]) < 1e-10)
-        idx = idx[full]
-        Hn = Vt[full, -1].reshape(-1, 3, 3)
-        Hs = np.linalg.inv(Tq[idx]) @ Hn @ Tp
-        z = Hs[:, 2, 2]
-        scaled = np.abs(z) > 1e-12
-        Hs[scaled] /= z[scaled, None, None]
-        H[idx] = Hs
+    c = np.asarray(corners, dtype=float)
+    if c.ndim != 3 or c.shape[1:] != (4, 2):
+        raise ValueError("need a stack of quad corners (q, 4, 2)")
+    c, ok = _mask_non_finite(c)
+    # huge corners can overflow, and a zero or non-finite H[2,2] divides
+    # badly; every such member is masked below
+    with np.errstate(all="ignore"):
+        # the triangle without corner k has corners k+1, k+2 and k+3
+        e1 = c[:, _OPPOSITE] - c[:, _NEXT]
+        e2 = c[:, _PREV] - c[:, _NEXT]
+        area = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+        p = np.concatenate([c, np.ones((len(c), 4, 1))], axis=2)
+        H = (p * area[..., None]).transpose(0, 2, 1) @ _BORDER_CORNERS
+        H = H / H[:, 2:, 2:]
+    ok &= (area != 0).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
+    H[~ok] = np.nan
     return H
 
 
@@ -583,7 +549,7 @@ def detect(
     if not quads:
         return []
     corners = np.stack([quad.corners for quad in quads])
-    H = estimate_homography(BORDER_UNIT_CORNERS, corners)
+    H = estimate_homography(corners)
     fitted = np.flatnonzero(~np.isnan(H[:, 2, 2]))
     bits, black_mean, white_mean, sampled = _sample_grids(image, H[fitted], family.n)
     # a real tag shows its white border clearly brighter than its black one
@@ -595,18 +561,17 @@ def detect(
             decoded.append((i, res))
     if not decoded:
         return []
-    # re-fit so each homography maps the *decoded* tag frame to pixels;
-    # np.roll(c, r, axis=0)[k] is c[(k - r) % 4]
+    # the decoded tag frame is the border square turned by the rotation
     quad_idx = np.array([i for i, _ in decoded])
     turns = np.array([res.rotation for _, res in decoded])
-    rolled = corners[quad_idx[:, None], (np.arange(4) - turns[:, None]) % 4]
-    R, t = pose_from_homography(
-        estimate_homography(BORDER_UNIT_CORNERS, rolled), camera, tag_size
-    )
+    R, t = pose_from_homography(H[quad_idx] @ _QUARTER_TURNS[turns], camera, tag_size)
     front = np.flatnonzero(t[:, 2] > 0)  # a NaN member compares False
     if not front.size:
         return []
-    errs = _reprojection_rms(R[front], t[front], camera, tag_size, rolled[front])
+    # the corners in the decoded frame's order; np.roll(c, r, axis=0)[k] is
+    # c[(k - r) % 4]
+    rolled = corners[quad_idx[front, None], (np.arange(4) - turns[front, None]) % 4]
+    errs = _reprojection_rms(R[front], t[front], camera, tag_size, rolled)
     detections = []
     for j, err in zip(front, errs):
         i, res = decoded[j]

@@ -560,7 +560,7 @@ def rsu_step(
 
 
 def attacker_step(
-    state: AttackerState, observed_bus_code: Optional[int], now: int
+    state: AttackerState, observed_bus_code: int, now: int
 ) -> StepResult:
     """One tick of an attacker.
 
@@ -572,11 +572,7 @@ def attacker_step(
         return StepResult(state=state, outbound=(), events=())
     st = state
     events: list = []
-    if (
-        observed_bus_code is not None
-        and observed_bus_code != st.displayed_code
-        and st.pending_copy is None
-    ):
+    if observed_bus_code != st.displayed_code and st.pending_copy is None:
         st = replace(
             st, pending_copy=(int(observed_bus_code), now + st.reaction_latency)
         )

@@ -16,9 +16,10 @@ from vttag.transforms import RigidTransform
 from test_sim import BAD_GEOMETRY, MALFORMED, OUT_OF_RANGE, OUT_OF_RANGE_IDS, set_path
 
 
-def assert_one_error_line(capsys) -> None:
+def assert_one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.fixture()
@@ -65,7 +66,8 @@ class TestFamilyGen:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "option, value", [("--count", "0"), ("--n", "1"), ("--d-min", "0"), ("--budget", "2")]
+        "option, value",
+        [("--count", "0"), ("--n", "1"), ("--d-min", "0"), ("--budget", "2"), ("--n", "9")],
     )
     def test_out_of_range_setting_exits_1(self, capsys, option, value):
         # argparse keeps the last of a repeated option
@@ -97,6 +99,14 @@ class TestTagRender:
         assert run_cli([
             "tag-render", "--family", str(family_path), "--id", "0", "--out", "-",
         ]) == 1
+
+    @pytest.mark.parametrize("px", ["0", "-3"])
+    def test_non_positive_px_exits_1(self, family_path, tmp_path, capsys, px):
+        assert run_cli([
+            "tag-render", "--family", str(family_path), "--id", "0",
+            "--px", px, "--out", str(tmp_path / "t.pgm"),
+        ]) == 1
+        assert_one_error_line(capsys)
 
 
 class TestDetect:
@@ -184,14 +194,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, bad", [
         ("tag-render", "family"), ("detect", "family"), ("detect", "camera"),
+        ("tag-render", "family-n9"), ("detect", "family-n9"),
     ])
     def test_infinite_integer_in_input_exits_1(self, tmp_path, capsys, command, bad):
-        # json reads Infinity into a float, which int() cannot take
+        # json reads Infinity into a float, which int() cannot take; the
+        # family-n9 cases hold a well-formed 9 x 9 family, whose 81-bit codes
+        # the 64-bit packing cannot take
         family = generate_family(4, 6, 8, seed=7).to_json_dict()
         camera = CameraModel(fx=500.0, fy=500.0, cx=80.0, cy=60.0,
                              width=160, height=120).to_json_dict()
         if bad == "family":
             family["n"] = float("inf")
+        elif bad == "family-n9":
+            family.update(n=9, codes=["0" * 81, "01" * 40 + "0"])
         else:
             camera["width"] = float("inf")
         paths = {}
@@ -206,7 +221,8 @@ class TestExitCodes:
                        "--tag-size", "0.6", "--out", "-"],
         }[command]
         assert run_cli([command, "--family", str(paths["family"])] + argv) == 1
-        assert_one_error_line(capsys)
+        err = assert_one_error_line(capsys)
+        assert bad != "family-n9" or "corrupt family file" in err
 
 
 class TestSimRun:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from vttag import codes
 from vttag.codes import (
+    DecodeResult,
     TagCode,
     TagFamily,
     decode_code,
@@ -202,6 +203,19 @@ class TestGenerateFamily:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             generate_family(4, 6, 10, seed=0, budget=5)
+
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_size_outside_the_packing_raises(self, n):
+        # an n x n code packs into a uint64, so a family takes 2 <= n <= 8
+        with pytest.raises(ValueError):
+            generate_family(n, 3, 2, seed=0)
+        with pytest.raises(ValueError):
+            TagFamily(n=n, d_min=3, seed=0, codes=())
+
+    def test_largest_size_packs(self):
+        code = TagCode.from_int(8, 2**64 - 1)
+        family = TagFamily(n=8, d_min=1, seed=0, codes=(code,))
+        assert decode_code(code, family) == DecodeResult(index=0, rotation=0, distance=0)
 
 
 def _reference_generate_family(n, d_min, max_codes, seed, budget=2_000_000):

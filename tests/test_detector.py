@@ -18,6 +18,7 @@ from vttag.detector import (
     Detection,
     Quad,
     _fit_quad_corners,
+    _is_convex,
     _outer_boundary,
     _sample_grids,
     _window_areas,
@@ -38,6 +39,8 @@ from vttag.imaging import (
     tag_border_corners,
 )
 from vttag.transforms import RigidTransform
+
+from test_acceptance import _sample_pose
 
 
 @pytest.fixture(scope="module")
@@ -302,38 +305,79 @@ class TestOuterBoundary:
 
 
 class TestHomography:
-    def test_recovers_known_projective_map(self):
-        rng = np.random.default_rng(0)
-        H = np.array([[1.2, 0.1, 30.0], [-0.2, 0.9, 50.0], [1e-3, -2e-4, 1.0]])
-        src = rng.uniform(-1, 1, (6, 2))
-        hom = np.column_stack([src, np.ones(6)]) @ H.T
-        dst = hom[:, :2] / hom[:, 2:]
-        [est] = estimate_homography(src, dst[None])
-        assert np.allclose(est / est[2, 2], H, atol=1e-9)
-
     def test_collinear_points_degenerate(self):
-        src = np.array([[0, 0], [1, 1], [2, 2], [3, 3.0]])
-        dst = src * 2.0
-        assert np.isnan(estimate_homography(src, dst[None])).all()
+        dst = np.array([[0, 0], [1, 1], [2, 2], [3, 3.0]]) * 2.0
+        # three corners on one line leave no invertible map either
+        three = np.array([[0, 0], [0, 10], [0, 20], [10, 10.0]])
+        assert np.isnan(estimate_homography(np.stack([dst, three]))).all()
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            estimate_homography(np.zeros((3, 2)), np.zeros((1, 3, 2)))
+            estimate_homography(np.zeros((1, 3, 2)))
 
-    def test_only_one_plane_set_and_a_stack_of_image_sets(self, camera):
-        plane = BORDER_UNIT_CORNERS
-        img = plane * 20.0 + 100.0
-        assert estimate_homography(plane, img[None]).shape == (1, 3, 3)
+    def test_only_a_stack_of_quads(self, camera):
+        img = BORDER_UNIT_CORNERS * 20.0 + 100.0
+        assert estimate_homography(img[None]).shape == (1, 3, 3)
         with pytest.raises(ValueError):
-            estimate_homography(plane, img)  # one image set, not a stack
+            estimate_homography(img)  # one quad, not a stack
         with pytest.raises(ValueError):
-            estimate_homography(plane[None], img[None])  # a stack of plane sets
+            estimate_homography(np.zeros((1, 5, 2)))  # not a quad
         with pytest.raises(ValueError):
             pose_from_homography(np.eye(3), camera, 0.7)  # one H, not a stack
-        # a plane set that is not finite spoils every member
-        bad = plane.copy()
-        bad[1, 0] = np.nan
-        assert np.isnan(estimate_homography(bad, np.stack([img, img]))).all()
+
+    def test_matches_dlt_on_random_convex_quads(self):
+        rng = np.random.default_rng(0)
+        stack = []
+        while len(stack) < 500:
+            # a convex quad in counter-clockwise screen order, of any size
+            # and place, from corners at increasing angles round a centre
+            angles = np.sort(rng.uniform(0, 2 * np.pi, 4))[::-1]
+            radii = rng.uniform(0.3, 1.0, 4) * 10 ** rng.uniform(0, 3)
+            c = rng.uniform(-500, 1500, 2) + radii[:, None] * np.column_stack(
+                [np.cos(angles), np.sin(angles)])
+            if _is_convex(c):
+                stack.append(c)
+        stack = np.array(stack)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = estimate_homography(stack)
+        for got, corners in zip(H, stack):
+            _assert_close_to_dlt(got, corners)
+            assert got[2, 2] == 1.0
+
+    def test_matches_dlt_on_criterion_4_frames(self, family):
+        # criterion 4's 400 frames, as test_acceptance draws and renders them
+        cam = CameraModel(fx=750.0, fy=750.0, cx=320.0, cy=240.0, width=640, height=480)
+        rng = np.random.default_rng(7)
+        poses = [(_sample_pose(rng, cam, 1.6), int(rng.integers(len(family))))
+                 for _ in range(200)]
+        n_quads = 0
+        for sigma in (0.0, 4.0):
+            for trial, (pose, idx) in enumerate(poses):
+                tag = PlacedTag(index=idx, tag_size=1.6, pose=pose)
+                img = render_scene(cam, [tag], family, noise_sigma=sigma, seed=trial)
+                quads = extract_quads(binarize(img, 20))
+                if not quads:
+                    continue
+                stack = np.stack([q.corners for q in quads])
+                for got, corners in zip(estimate_homography(stack), stack):
+                    _assert_close_to_dlt(got, corners)
+                    n_quads += 1
+        assert n_quads >= 400
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_quarter_turn_rolls_the_corners_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        corners = BORDER_UNIT_CORNERS * 30.0 + 100.0 + rng.uniform(-8, 8, (4, 2))
+        [H] = estimate_homography(corners[None])
+        mapped = _ref_apply_h(H, BORDER_UNIT_CORNERS)
+        assert np.abs(mapped - corners).max() < 1e-9
+        for r in range(4):
+            turned = H @ np.linalg.matrix_power(_QUARTER_TURN, r)
+            # the turned map sends corner k where H sends corner k - r, to the bit
+            assert _ref_apply_h(turned, BORDER_UNIT_CORNERS).tobytes() == np.roll(
+                mapped, r, axis=0).tobytes()
+            _assert_close_to_dlt(turned, np.roll(corners, r, axis=0))
 
 
 class TestSamplePayload:
@@ -345,7 +389,7 @@ class TestSamplePayload:
         corners = np.array(
             [project(camera, p) for p in tag_border_corners(tag)]
         )
-        H = estimate_homography(BORDER_UNIT_CORNERS, corners[None])
+        H = estimate_homography(corners[None])
         bits, _, _, sampled = _sample_grids(img, H, family.n)
         assert sampled.tolist() == [True]
         assert TagCode(family.n, tuple(bits[0].tolist())) == family.codes[7]
@@ -375,7 +419,7 @@ class TestPoseFromHomography:
             corners = np.array(
                 [project(camera, p) for p in tag_border_corners(tag)]
             )
-            H = estimate_homography(BORDER_UNIT_CORNERS, corners[None])
+            H = estimate_homography(corners[None])
             [est_R], [est_t] = pose_from_homography(H, camera, 0.7)
             assert np.abs(est_t - t).max() < 1e-6
             assert np.abs(est_R - R).max() < 1e-6
@@ -464,7 +508,8 @@ class TestDetect:
 
 # detect's stages as one loop over the quads, each stage on one quad, as
 # detect ran before its stages were stacked: detect must return the same
-# detections to the bit
+# detections to the bit. The homography is the closed form on a stack of one
+# quad, checked against the per-quad DLT below.
 class _Rejected(Exception):
     """A reference stage cannot handle its one quad."""
 
@@ -514,6 +559,28 @@ def _ref_estimate_homography(plane_pts, img_pts):
     if abs(H[2, 2]) > 1e-12:
         H = H / H[2, 2]
     return H
+
+
+def _assert_close_to_dlt(H, corners):
+    """H agrees with the DLT fit of corners to 1e-9, relative to its largest entry."""
+    want = _ref_estimate_homography(BORDER_UNIT_CORNERS, corners)
+    assert np.abs(H - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def _ref_homography(corners):
+    """The closed form on a stack of one quad; _Rejected where the DLT rejects."""
+    [H] = estimate_homography(corners[None])
+    if np.isnan(H).any():
+        with pytest.raises(_Rejected):
+            _ref_estimate_homography(BORDER_UNIT_CORNERS, corners)
+        raise _Rejected("no homography takes the border square onto these corners")
+    _assert_close_to_dlt(H, corners)
+    return H
+
+
+# the border square's quarter turn (x, y) -> (y, -x): H @ Q**r maps corner
+# k where H maps corner k - r
+_QUARTER_TURN = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _ref_apply_h(H, pts):
@@ -617,7 +684,7 @@ def _reference_detect(image, camera, family, tag_size, quads=None):
     detections = []
     for quad in quads:
         try:
-            H = _ref_estimate_homography(BORDER_UNIT_CORNERS, quad.corners)
+            H = _ref_homography(quad.corners)
             observed, black_mean, white_mean = _ref_sample_payload_stats(image, H, family.n)
         except _Rejected:
             continue
@@ -627,8 +694,9 @@ def _reference_detect(image, camera, family, tag_size, quads=None):
         if res is None:
             continue
         rolled = np.roll(quad.corners, res.rotation, axis=0)
+        H2 = H @ np.linalg.matrix_power(_QUARTER_TURN, res.rotation)
+        _assert_close_to_dlt(H2, rolled)
         try:
-            H2 = _ref_estimate_homography(BORDER_UNIT_CORNERS, rolled)
             pose = _ref_pose_from_homography(H2, camera, tag_size)
         except _Rejected:
             continue
@@ -688,9 +756,7 @@ class TestStackedStages:
             # the stages on a stack of one quad keep the reference's results to the bit
             for quad in extract_quads(binarize(img)):
                 n_quads += 1
-                H = _ref_estimate_homography(BORDER_UNIT_CORNERS, quad.corners)
-                [got_H] = estimate_homography(BORDER_UNIT_CORNERS, quad.corners[None])
-                assert got_H.tobytes() == H.tobytes()
+                H = _ref_homography(quad.corners)
                 bits, black_mean, white_mean, sampled = _sample_grids(img, H[None], family.n)
                 try:
                     code, black, white = _ref_sample_payload_stats(img, H, family.n)
@@ -723,7 +789,7 @@ class TestStackedStages:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = detect(img, camera, family, 0.35)
-            stack = estimate_homography(BORDER_UNIT_CORNERS, np.stack([q.corners for q in quads]))
+            stack = estimate_homography(np.stack([q.corners for q in quads]))
             R, t = pose_from_homography(stack, camera, 0.35)
         want = _reference_detect(img, camera, family, 0.35, quads=quads)
         assert sorted(d.code_index for d in want) == [1, 9]
@@ -734,9 +800,9 @@ class TestStackedStages:
         for q, H, Rq, tq in zip(quads, stack, R, t):
             if q is collinear or q is collapsed:
                 with pytest.raises(_Rejected):
-                    _ref_estimate_homography(BORDER_UNIT_CORNERS, q.corners)
+                    _ref_homography(q.corners)
                 continue
-            alone = _ref_estimate_homography(BORDER_UNIT_CORNERS, q.corners)
+            alone = _ref_homography(q.corners)
             assert H.tobytes() == alone.tobytes()
             want_pose = _ref_pose_from_homography(alone, camera, 0.35)
             assert Rq.tobytes() == want_pose.rotation.tobytes()
@@ -746,7 +812,7 @@ class TestStackedStages:
     def test_non_finite_members_masked(self, camera, family, bad):
         img = render_scene(camera, [fronto_tag(7)], family)
         quad = detect(img, camera, family, 0.7)[0].quad
-        [H] = estimate_homography(BORDER_UNIT_CORNERS, quad.corners[None])
+        [H] = estimate_homography(quad.corners[None])
         poisoned = H.copy()
         poisoned[0, 1] = bad
         with warnings.catch_warnings():
@@ -754,7 +820,7 @@ class TestStackedStages:
             R, t = pose_from_homography(np.stack([poisoned, H]), camera, 0.7)
             pts = np.stack([quad.corners, quad.corners])
             pts[0, 2, 0] = bad
-            stack = estimate_homography(BORDER_UNIT_CORNERS, pts)
+            stack = estimate_homography(pts)
             alone_R, alone_t = pose_from_homography(H[None], camera, 0.7)
         assert np.isnan(R[0]).all() and np.isnan(t[0]).all()
         assert R[1].tobytes() == alone_R[0].tobytes() and t[1].tobytes() == alone_t[0].tobytes()

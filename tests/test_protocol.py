@@ -116,12 +116,6 @@ class TestAttacker:
         st = attacker_step(st, observed_bus_code=6, now=20).state
         assert st.displayed_code == 6
 
-    def test_no_sight_no_copy(self):
-        st = AttackerState(AttackerStrategy.FOLLOWER, displayed_code=1,
-                           reaction_latency=0)
-        st = attacker_step(st, observed_bus_code=None, now=3).state
-        assert st.displayed_code == 1
-
     def test_step_deterministic(self):
         st = AttackerState(AttackerStrategy.FOLLOWER, displayed_code=1,
                            reaction_latency=1)

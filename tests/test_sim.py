@@ -447,17 +447,13 @@ class TestTracerTargets:
             def counting(*args, _name=name, _real=real, **kwargs):
                 calls[_name] += 1
                 if _name != "decode_code":
-                    stacks[_name, len(args[-1] if _name == "estimate_homography" else args[0])] += 1
+                    stacks[_name, len(args[0])] += 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(vttag.detector, name, counting)
         run_scenario(clone(0, 2))
-        assert calls == {"estimate_homography": 80, "pose_from_homography": 40, "decode_code": 80}
-        assert stacks == {
-            ("estimate_homography", 3): 40,
-            ("estimate_homography", 2): 40,
-            ("pose_from_homography", 2): 40,
-        }
+        assert calls == {"estimate_homography": 40, "pose_from_homography": 40, "decode_code": 80}
+        assert stacks == {("estimate_homography", 3): 40, ("pose_from_homography", 2): 40}
 
 
 class TestTagFreeFrames:
