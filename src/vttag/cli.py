@@ -83,11 +83,11 @@ def _cmd_tag_render(args) -> None:
         )
     try:
         img = render_tag_bitmap(family, args.id, args.px)
-    except ValueError as exc:  # pixels per cell out of range
+    except (MemoryError, ValueError) as exc:  # pixels per cell out of range or too many
         raise _CliError(str(exc)) from exc
     if args.out == "-":
         raise _CliError("tag-render writes binary PGM; --out - is not supported")
-    img.save_pgm(args.out)
+    Path(args.out).write_bytes(img.to_pgm())
 
 
 def _cmd_detect(args) -> None:
@@ -101,7 +101,7 @@ def _cmd_detect(args) -> None:
     if not img_path.is_file():
         raise _CliError(f"image file not found: {args.image}")
     try:
-        image = Image.load_pgm(img_path)
+        image = Image.from_pgm(img_path.read_bytes())
     except (OSError, ValueError) as exc:
         raise _CliError(f"corrupt image file {args.image}: {exc}") from exc
     try:

@@ -9,10 +9,8 @@ corrupted observation still decodes to a unique (code, rotation).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -200,13 +198,6 @@ class TagFamily:
             seed=int(d["seed"]),
             codes=tuple(TagCode.from_string(n, s) for s in d["codes"]),
         )
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "TagFamily":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def _feistel_round(part: np.ndarray, key, mask: np.uint64) -> np.ndarray:
@@ -411,8 +402,8 @@ def generate_family(
     both phases, so a family the greedy pass completes never reaches the
     swap phase. Deterministic given all arguments.
 
-    Raises ValueError unless 2 <= n <= 8, and GenerationExhausted if the
-    search ends with zero acceptances.
+    Raises ValueError unless 2 <= n <= 8 and seed >= 0, and
+    GenerationExhausted if the search ends with zero acceptances.
     """
     if not 2 <= n <= _MAX_N:
         raise ValueError(f"n must be in 2..{_MAX_N}, got {n}")
@@ -422,6 +413,8 @@ def generate_family(
         raise ValueError("max_codes must be >= 1")
     if budget < max_codes:
         raise ValueError("budget must be >= max_codes")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if d_min > _max_self_distance(n):
         # no code is admissible: the walk would examine every candidate the
         # budget allows and accept none
@@ -564,10 +557,6 @@ class DecodeResult:
     index: int
     rotation: int  # quarter turns, 0..3
     distance: int
-
-    @property
-    def rotation_deg(self) -> int:
-        return self.rotation * 90
 
 
 def decode_code(observed: TagCode, family: TagFamily) -> Optional[DecodeResult]:

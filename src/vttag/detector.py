@@ -49,7 +49,6 @@ class Quad:
     """Four border corners in counter-clockwise screen order, first nearest the origin."""
 
     corners: np.ndarray  # (4, 2) pixel coordinates
-    area: float
 
     def __post_init__(self):
         c = np.array(self.corners, dtype=float).reshape(4, 2)
@@ -66,14 +65,10 @@ class Detection:
     pose: RigidTransform  # tag -> camera
     reproj_err: float  # RMS corner residual, px
 
-    @property
-    def rotation_deg(self) -> int:
-        return self.rotation * 90
-
     def to_json_dict(self) -> dict:
         return {
             "code_index": self.code_index,
-            "rotation_deg": self.rotation_deg,
+            "rotation_deg": self.rotation * 90,
             "hamming_error": self.hamming_error,
             "corners": [[float(x), float(y)] for x, y in self.quad.corners],
             "pose": self.pose.to_json_dict(),
@@ -89,7 +84,6 @@ def _window_sums(a: np.ndarray, window: int, dtype) -> np.ndarray:
     difference of two equal-length slices.
     """
     h = a.shape[0]
-    window = min(window, h)  # a wider window covers the same rows
     run = np.zeros((h + 2 * window + 1,) + a.shape[1:], dtype=dtype)
     np.cumsum(a, axis=0, dtype=dtype, out=run[window + 1 : window + 1 + h])
     run[window + 1 + h :] = run[window + h]
@@ -141,6 +135,7 @@ def binarize(image: Image, window: int = 15) -> Image:
         raise ValueError("window must be an integer >= 1")
     px = image.pixels
     h, w = px.shape
+    window = min(window, max(h, w))  # a wider window covers the same pixels
     if px.size == 0 or int(px.max()) - int(px.min()) <= _OFFSET:
         return Image(np.zeros((h, w), dtype=np.uint8))
     acc = _sum_type(h, w)
@@ -333,7 +328,7 @@ def extract_quads(binary: Image) -> list[Quad]:
             continue
         first = int(np.argmin((corners**2).sum(axis=1)))
         corners = np.concatenate([corners[first:], corners[:first]])
-        quads.append(Quad(corners=corners, area=area))
+        quads.append(Quad(corners=corners))
     return quads
 
 
@@ -343,7 +338,7 @@ def _mask_non_finite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One NaN or infinite member would make LAPACK fail the whole stack, or
     warn, so the stacked stages compute on zeros there and mask them out.
     """
-    finite = np.isfinite(a).reshape(len(a), -1).all(axis=1)
+    finite = np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
     if not finite.all():
         a = np.where(finite.reshape((-1,) + (1,) * (a.ndim - 1)), a, 0.0)
     return a, finite
@@ -479,20 +474,23 @@ def pose_from_homography(
     rotation block is re-orthonormalized via SVD with determinant forced to
     +1; the scale sign is chosen so the tag sits in front of the camera
     (z > 0). Returns (R (q, 3, 3), t (q, 3)); a member whose H is not
-    finite or whose first two columns vanish is all NaN in both.
+    finite, whose first two columns vanish, or whose metric columns
+    overflow (a tag_size near zero) is all NaN in both.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 3 or H.shape[1:] != (3, 3):
         raise ValueError("need a stack of homographies (q, 3, 3)")
     Hs, ok = _mask_non_finite(H)
-    # normalized [-1,1]^2 coords -> metric tag-plane coords
-    Hm = Hs @ np.diag([2.0 / tag_size, 2.0 / tag_size, 1.0])
-    M = np.linalg.inv(camera.intrinsic_matrix) @ Hm
-    # each column's length is a 1x3 @ 3x1 product, the same BLAS dot as
-    # np.linalg.norm of that column
-    cols = M[:, :, :2].transpose(0, 2, 1).copy()
-    norms = np.sqrt(cols[..., None, :] @ cols[..., :, None])[..., 0, 0]
-    ok &= (norms >= 1e-12).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing members are masked below
+        # normalized [-1,1]^2 coords -> metric tag-plane coords
+        Hm = Hs @ np.diag([2.0 / tag_size, 2.0 / tag_size, 1.0])
+        M = np.linalg.inv(camera.intrinsic_matrix) @ Hm
+        # each column's length is a 1x3 @ 3x1 product, the same BLAS dot as
+        # np.linalg.norm of that column
+        cols = M[:, :, :2].transpose(0, 2, 1).copy()
+        norms = np.sqrt(cols[..., None, :] @ cols[..., :, None])[..., 0, 0]
+    ok &= np.isfinite(M).all(axis=(1, 2))
+    ok &= ((norms >= 1e-12) & (norms < np.inf)).all(axis=1)
 
     R = np.full((len(M), 3, 3), np.nan)
     t = np.full((len(M), 3), np.nan)

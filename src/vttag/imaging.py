@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ __all__ = [
 ]
 
 _EPS_DEPTH = 1e-6
+_BACKGROUND = 96  # gray level of every pixel no tag covers
 
 # Black-border square corners in normalized tag-plane coordinates ([-1, 1]^2,
 # x right, y up), listed top-left, bottom-left, bottom-right, top-right.
@@ -137,13 +137,14 @@ class Image:
     def height(self) -> int:
         return self.pixels.shape[0]
 
-    def save_pgm(self, path) -> None:
+    def to_pgm(self) -> bytes:
+        """The raster as a binary PGM (P5) file."""
         header = f"P5\n{self.width} {self.height}\n255\n".encode("ascii")
-        Path(path).write_bytes(header + self.pixels.tobytes())
+        return header + self.pixels.tobytes()
 
     @classmethod
-    def load_pgm(cls, path) -> "Image":
-        data = Path(path).read_bytes()
+    def from_pgm(cls, data: bytes) -> "Image":
+        """Parse a binary PGM (P5) file of maxval 255; ValueError otherwise."""
         fields: list[bytes] = []
         pos = 0
         while len(fields) < 4:
@@ -236,7 +237,6 @@ def render_scene(
     tags: Sequence[PlacedTag],
     family: TagFamily,
     noise_sigma: float = 0.0,
-    background: int = 96,
     seed: int = 0,
     noise: Optional[np.ndarray] = None,
 ) -> Image:
@@ -251,7 +251,7 @@ def render_scene(
     contents are spent.
     """
     h, w = camera.height, camera.width
-    img = np.full((h, w), np.uint8(background), dtype=np.uint8)
+    img = np.full((h, w), np.uint8(_BACKGROUND), dtype=np.uint8)
     depth = None  # allocated once a tag is in view
     cam_origin = camera.pose.translation
     rot = camera.pose.rotation

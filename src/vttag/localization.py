@@ -54,10 +54,6 @@ class PlanarPose:
     def to_json_dict(self) -> dict:
         return {"x": self.x, "y": self.y, "yaw": self.yaw}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PlanarPose":
-        return cls(float(d["x"]), float(d["y"]), float(d["yaw"]))
-
 
 @dataclass(frozen=True)
 class PoseEstimate:
@@ -79,15 +75,6 @@ class PoseEstimate:
             "source": self.source,
             "timestamp": int(self.timestamp),
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PoseEstimate":
-        return cls(
-            pose=PlanarPose.from_json_dict(d["pose"]),
-            weight=float(d["weight"]),
-            source=str(d["source"]),
-            timestamp=int(d["timestamp"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -214,16 +214,6 @@ class SyncVerdict:
             d["reproj_err"] = float(self.reproj_err)
         return d
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SyncVerdict":
-        return cls(
-            kind=d["kind"],
-            count=int(d["count"]),
-            impostors=int(d.get("impostors", 0)),
-            tag_xyz=tuple(d["tag_xyz"]) if "tag_xyz" in d else None,
-            reproj_err=d.get("reproj_err"),
-        )
-
 
 @dataclass(frozen=True)
 class StepResult:
@@ -467,14 +457,13 @@ def rsu_step(
     now: int,
     rsu_id: str,
     bus_id: str,
-    estimate_fn=None,
+    estimate,
 ) -> StepResult:
     """One tick of an RSU state machine.
 
     frame holds this tick's detections from the RSU's own camera.
-    estimate_fn(detection) -> PoseEstimate turns a matching detection into
-    a world-framed report; when None, no POSE_REPORTs are produced (pure
-    protocol tests).
+    estimate(rsu_id, now, detection) turns a detection of the client's
+    code into a world-framed PoseEstimate, or None for no report.
     """
     events: list = []
     out: list = []
@@ -530,20 +519,19 @@ def rsu_step(
 
     if st.client_code is not None:
         matching = [d for d in frame if d.code_index == st.client_code]
-        if estimate_fn is not None:
-            for det in matching:
-                est = estimate_fn(det)
-                if est is None:
-                    continue
-                out.append(
-                    ProtocolMessage(
-                        MsgKind.POSE_REPORT,
-                        rsu_id,
-                        bus_id,
-                        now,
-                        {"estimate": est, "code_index": det.code_index},
-                    )
+        for det in matching:
+            est = estimate(rsu_id, now, det)
+            if est is None:
+                continue
+            out.append(
+                ProtocolMessage(
+                    MsgKind.POSE_REPORT,
+                    rsu_id,
+                    bus_id,
+                    now,
+                    {"estimate": est, "code_index": det.code_index},
                 )
+            )
         count = detect_confusion(frame, st.client_code)
         if count is not None:
             out.append(

@@ -20,7 +20,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -85,11 +84,6 @@ class Trajectory:
                 (int(w["tick"]), PlanarPose(w["x"], w["y"], w["yaw"])) for w in items
             )
         )
-
-    def to_json_list(self) -> list:
-        return [
-            {"tick": t, "x": p.x, "y": p.y, "yaw": p.yaw} for t, p in self.waypoints
-        ]
 
     @cached_property
     def _arrays(self) -> tuple:
@@ -201,6 +195,8 @@ class ScenarioConfig:
         object.__setattr__(self, "attackers", tuple(self.attackers))
         if self.ticks < 1:
             raise ScenarioError("ticks must be >= 1")
+        if self.seed < 0 or self.family_seed < 0:
+            raise ScenarioError("seed and family seed must be >= 0")
         if not self.rsus:
             raise ScenarioError("at least one RSU required")
         if self.max_rounds < 1:
@@ -267,10 +263,6 @@ class ScenarioConfig:
         # Infinity in an integer field
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ScenarioError(f"invalid scenario config: {exc}") from exc
-
-    @classmethod
-    def load(cls, path) -> "ScenarioConfig":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
 class Channel:
@@ -432,7 +424,7 @@ class Session:
     channel: Channel
 
 
-def step_session(s: Session, t: int, see, log, estimate=None) -> tuple:
+def step_session(s: Session, t: int, see, log, estimate) -> tuple:
     """Advance every agent of s by tick t; returns (bus screen, frames).
 
     Tick order: attackers react first to what the bus shows this tick (so
@@ -448,8 +440,8 @@ def step_session(s: Session, t: int, see, log, estimate=None) -> tuple:
     steps, stamped with who stepped: an RSU's with its "rsu" id, an
     attacker's with its "agent" id, the bus's with nothing. Then comes one
     "message" event per message the agent posted, with the tick it is due
-    ("deliver_at", None when dropped). estimate(rsu_id, t, det), when
-    given, turns a detection of the bus's code into that RSU's pose report.
+    ("deliver_at", None when dropped). estimate(rsu_id, t, det) turns a
+    detection of the bus's code into that RSU's pose report, or None.
     """
 
     def record(res, **who):
@@ -471,8 +463,7 @@ def step_session(s: Session, t: int, see, log, estimate=None) -> tuple:
         inboxes.setdefault(msg.receiver, []).append(msg)
 
     for rid, rsu in s.rsus.items():
-        est = None if estimate is None else partial(estimate, rid, t)
-        res = rsu_step(rsu, inboxes.get(rid, ()), frames[rid], t, rid, s.config.bus_id, est)
+        res = rsu_step(rsu, inboxes.get(rid, ()), frames[rid], t, rid, s.config.bus_id, estimate)
         s.rsus[rid] = record(res, rsu=rid)
     s.bus = record(bus_step(s.bus, inboxes.get(s.config.bus_id, ()), t, s.config))
     return bus_code, frames

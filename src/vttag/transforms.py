@@ -38,13 +38,13 @@ class RigidTransform:
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
 
-    def validate(self, tol: float = _ORTHO_TOL) -> None:
+    def validate(self) -> None:
         """Raise ValueError unless every entry is finite and the rotation is proper orthonormal."""
         if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
             raise ValueError("rotation and translation must be finite")
         err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
-        if err > tol:
-            raise ValueError(f"rotation not orthonormal (deviation {err:.3e} > {tol:.1e})")
+        if err > _ORTHO_TOL:
+            raise ValueError(f"rotation not orthonormal (deviation {err:.3e} > {_ORTHO_TOL:.1e})")
         if np.linalg.det(self.rotation) < 0:
             raise ValueError("rotation must have determinant +1")
 

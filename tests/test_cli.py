@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vttag.cli import run_cli
 from vttag.imaging import CameraModel, Image, PlacedTag, render_scene
@@ -34,7 +38,7 @@ def family_path(tmp_path):
 
 class TestFamilyGen:
     def test_writes_loadable_family(self, family_path):
-        fam = TagFamily.load(family_path)
+        fam = TagFamily.from_json_dict(json.loads(family_path.read_text()))
         assert fam.n == 4 and len(fam) == 8
         assert fam == generate_family(4, 6, 8, seed=7)
 
@@ -67,7 +71,8 @@ class TestFamilyGen:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--count", "0"), ("--n", "1"), ("--d-min", "0"), ("--budget", "2"), ("--n", "9")],
+        [("--count", "0"), ("--n", "1"), ("--d-min", "0"), ("--budget", "2"), ("--n", "9"),
+         ("--seed", "-3")],
     )
     def test_out_of_range_setting_exits_1(self, capsys, option, value):
         # argparse keeps the last of a repeated option
@@ -75,7 +80,8 @@ class TestFamilyGen:
             "family-gen", "--n", "4", "--d-min", "6", "--count", "3",
             option, value, "--out", "-",
         ]) == 1
-        assert_one_error_line(capsys)
+        err = assert_one_error_line(capsys)
+        assert option != "--seed" or "seed" in err
 
 
 class TestTagRender:
@@ -85,7 +91,7 @@ class TestTagRender:
             "tag-render", "--family", str(family_path), "--id", "2",
             "--px", "8", "--out", str(out),
         ]) == 0
-        img = Image.load_pgm(out)
+        img = Image.from_pgm(out.read_bytes())
         # 4 payload cells + black border + white quiet zone, 8 px per cell
         assert img.pixels.shape == (64, 64)
 
@@ -108,26 +114,36 @@ class TestTagRender:
         ]) == 1
         assert_one_error_line(capsys)
 
+    def test_unallocatable_px_exits_1(self, family_path, tmp_path, capsys):
+        # (4 + 4) * 10**9 pixels square: numpy refuses the bitmap at once
+        assert run_cli([
+            "tag-render", "--family", str(family_path), "--id", "0",
+            "--px", str(10**9), "--out", str(tmp_path / "t.pgm"),
+        ]) == 1
+        assert_one_error_line(capsys)
+
+
+def write_scene(tmp_path):
+    """A 240 x 180 PGM of tag 3 of the family_path family, and its camera's JSON."""
+    fam = generate_family(4, 6, 8, seed=7)
+    cam = CameraModel(fx=500.0, fy=500.0, cx=120.0, cy=90.0,
+                      width=240, height=180)
+    tag = PlacedTag(
+        index=3, tag_size=0.6,
+        pose=RigidTransform(np.diag([1.0, -1.0, -1.0]),
+                            np.array([0.0, 0.0, 2.0])),
+    )
+    img = render_scene(cam, [tag], fam)
+    img_path = tmp_path / "scene.pgm"
+    img_path.write_bytes(img.to_pgm())
+    cam_path = tmp_path / "camera.json"
+    cam_path.write_text(json.dumps(cam.to_json_dict()))
+    return img_path, cam_path
+
 
 class TestDetect:
-    def _scene(self, tmp_path):
-        fam = generate_family(4, 6, 8, seed=7)
-        cam = CameraModel(fx=500.0, fy=500.0, cx=120.0, cy=90.0,
-                          width=240, height=180)
-        tag = PlacedTag(
-            index=3, tag_size=0.6,
-            pose=RigidTransform(np.diag([1.0, -1.0, -1.0]),
-                                np.array([0.0, 0.0, 2.0])),
-        )
-        img = render_scene(cam, [tag], fam)
-        img_path = tmp_path / "scene.pgm"
-        img.save_pgm(img_path)
-        cam_path = tmp_path / "camera.json"
-        cam_path.write_text(json.dumps(cam.to_json_dict()))
-        return img_path, cam_path
-
     def test_round_trip_detection(self, family_path, tmp_path, capsys):
-        img_path, cam_path = self._scene(tmp_path)
+        img_path, cam_path = write_scene(tmp_path)
         assert run_cli([
             "detect", "--image", str(img_path), "--family", str(family_path),
             "--camera", str(cam_path), "--tag-size", "0.6", "--out", "-",
@@ -139,7 +155,7 @@ class TestDetect:
 
     def test_blank_image_empty_list_exit_0(self, family_path, tmp_path, capsys):
         img_path = tmp_path / "blank.pgm"
-        Image(np.full((120, 160), 96, dtype=np.uint8)).save_pgm(img_path)
+        img_path.write_bytes(Image(np.full((120, 160), 96, dtype=np.uint8)).to_pgm())
         cam = CameraModel(fx=500.0, fy=500.0, cx=80.0, cy=60.0,
                           width=160, height=120)
         cam_path = tmp_path / "camera.json"
@@ -154,7 +170,7 @@ class TestDetect:
         "option, value", [("--window", "0"), ("--tag-size", "0"), ("--tag-size", "nan")]
     )
     def test_out_of_range_setting_exits_1(self, family_path, tmp_path, capsys, option, value):
-        img_path, cam_path = self._scene(tmp_path)
+        img_path, cam_path = write_scene(tmp_path)
         # argparse keeps the last of a repeated option
         assert run_cli([
             "detect", "--image", str(img_path), "--family", str(family_path),
@@ -163,8 +179,21 @@ class TestDetect:
         ]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_huge_window_as_frame_wide(self, family_path, tmp_path, capsys):
+        # a window wider than the 240 x 180 frame covers all of it
+        img_path, cam_path = write_scene(tmp_path)
+        reports = []
+        for window in (10**30, 240):
+            assert run_cli([
+                "detect", "--image", str(img_path), "--family", str(family_path),
+                "--camera", str(cam_path), "--tag-size", "0.6", "--window", str(window),
+                "--out", "-",
+            ]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     def test_missing_image_exits_1(self, family_path, tmp_path, capsys):
-        _, cam_path = self._scene(tmp_path)
+        _, cam_path = write_scene(tmp_path)
         assert run_cli([
             "detect", "--image", str(tmp_path / "nope.pgm"),
             "--family", str(family_path), "--camera", str(cam_path),
@@ -214,7 +243,7 @@ class TestExitCodes:
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(blob))
         image = tmp_path / "blank.pgm"
-        Image(np.full((120, 160), 96, dtype=np.uint8)).save_pgm(image)
+        image.write_bytes(Image(np.full((120, 160), 96, dtype=np.uint8)).to_pgm())
         argv = {
             "tag-render": ["--id", "0", "--out", str(tmp_path / "t.pgm")],
             "detect": ["--image", str(image), "--camera", str(paths["camera"]),
@@ -290,3 +319,60 @@ class TestSimRun:
             "sim-run", "--scenario", str(scenario), "--out", "-",
         ]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+# Numeric option values: negative, zero, small and huge. A --px between about
+# 10**3 and 10**8 could allocate its (n + 4) * px square bitmap, so the menu
+# has none; 10**9 fails at once.
+INTS = [-3, -1, 0, 1, 2, 10**9, 10**30]
+TAG_SIZES = [float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e-300, 1.0, 1e308]
+# A larger budget with a count the search cannot reach runs until the budget
+# is spent, by design.
+BUDGETS = [-1, 0, 1, 2**16]
+
+
+def options(values, *names):
+    """argv of the given options, each with a value drawn from values."""
+    return st.tuples(*(st.sampled_from(values) for _ in names)).map(
+        lambda vs: [a for name, v in zip(names, vs) for a in (name, str(v))]
+    )
+
+
+NUMERIC_RUNS = st.one_of(
+    st.tuples(st.just("family-gen"), options(INTS, "--n", "--d-min", "--count", "--seed"),
+              options(BUDGETS, "--budget")),
+    st.tuples(st.just("tag-render"), options(INTS, "--id", "--px")),
+    st.tuples(st.just("detect"), options(INTS, "--window"), options(TAG_SIZES, "--tag-size")),
+).map(lambda run: [run[0]] + [a for part in run[1:] for a in part])
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli")
+    family = tmp / "family.json"
+    family.write_text(json.dumps(generate_family(4, 6, 8, seed=7).to_json_dict()))
+    image, camera = write_scene(tmp)
+    return {"--family": family, "--image": image, "--camera": camera, "--out": tmp / "out"}
+
+
+# the files each subcommand reads and writes
+FILES = {
+    "family-gen": ["--out"],
+    "tag-render": ["--family", "--out"],
+    "detect": ["--image", "--family", "--camera", "--out"],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=NUMERIC_RUNS)
+@example(argv=["tag-render", "--id", "0", "--px", str(10**9)])
+@example(argv=["detect", "--window", str(10**30), "--tag-size", "1.0"])
+@example(argv=["detect", "--window", "15", "--tag-size", "1e-300"])
+def test_numeric_options_exit_cleanly(input_files, argv):
+    # any numeric option value ends in an exit code, never a traceback
+    files = [str(a) for name in FILES[argv[0]] for a in (name, input_files[name])]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run_cli(argv + files)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()

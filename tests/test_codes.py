@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import time
 
 import numpy as np
@@ -194,11 +195,9 @@ class TestGenerateFamily:
         with pytest.raises(GenerationExhausted):
             generate_family(2, 5, 1, seed=0, budget=32)
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         fam = generate_family(4, 6, 5, seed=11)
-        path = tmp_path / "fam.json"
-        fam.save(path)
-        assert TagFamily.load(path) == fam
+        assert TagFamily.from_json_dict(json.loads(json.dumps(fam.to_json_dict()))) == fam
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -521,7 +520,6 @@ class TestDecode:
         rotated = rotate90(rotate90(code))
         res = decode_code(rotated, family)
         assert (res.index, res.rotation) == (3, 2)
-        assert res.rotation_deg == 180
 
     def test_correctable_flips(self, family):
         rng = np.random.default_rng(99)

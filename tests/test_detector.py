@@ -136,7 +136,7 @@ def _brute_force_binarize(px: np.ndarray, window: int) -> np.ndarray:
 
 class TestBinarize:
     @pytest.mark.parametrize("shape, levels", [((7, 11), 256), ((16, 13), 256), ((23, 9), 24)])
-    @pytest.mark.parametrize("window", [1, 4, 40])
+    @pytest.mark.parametrize("window", [1, 4, 40, 10**30])
     def test_matches_brute_force_mean(self, shape, levels, window):
         rng = np.random.default_rng(window)
         px = rng.integers(0, levels, shape).astype(np.uint8)
@@ -324,6 +324,10 @@ class TestHomography:
             estimate_homography(np.zeros((1, 5, 2)))  # not a quad
         with pytest.raises(ValueError):
             pose_from_homography(np.eye(3), camera, 0.7)  # one H, not a stack
+        # an empty stack is a stack
+        assert estimate_homography(np.zeros((0, 4, 2))).shape == (0, 3, 3)
+        R, t = pose_from_homography(np.zeros((0, 3, 3)), camera, 0.7)
+        assert R.shape == (0, 3, 3) and t.shape == (0, 3)
 
     def test_matches_dlt_on_random_convex_quads(self):
         rng = np.random.default_rng(0)
@@ -424,6 +428,12 @@ class TestPoseFromHomography:
             assert np.abs(est_t - t).max() < 1e-6
             assert np.abs(est_R - R).max() < 1e-6
 
+    def test_overflowing_tag_size_masked(self, camera):
+        # 2 / tag_size scales the columns past the float range: NaN, no warning
+        H = estimate_homography((BORDER_UNIT_CORNERS * 20.0 + 100.0)[None])
+        R, t = pose_from_homography(H, camera, 1e-300)
+        assert np.isnan(R).all() and np.isnan(t).all()
+
 
 class TestDetect:
     def test_fronto_round_trip(self, camera, family):
@@ -452,7 +462,7 @@ class TestDetect:
         assert len(dets) == 1
         assert dets[0].code_index == 5
         assert dets[0].rotation == quarter_turns
-        assert dets[0].rotation_deg == quarter_turns * 90
+        assert dets[0].to_json_dict()["rotation_deg"] == quarter_turns * 90
 
     @pytest.mark.parametrize("tag_size", [0.0, float("nan"), -0.7])
     def test_rejects_bad_tag_size(self, camera, family, tag_size):
@@ -713,9 +723,9 @@ def _reference_detect(image, camera, family, tag_size, quads=None):
 
 def _detection_bytes(d):
     return (
-        d.code_index, d.rotation, d.hamming_error, d.quad.area,
-        d.quad.corners.tobytes(), d.pose.rotation.tobytes(),
-        d.pose.translation.tobytes(), np.float64(d.reproj_err).tobytes(),
+        d.code_index, d.rotation, d.hamming_error, d.quad.corners.tobytes(),
+        d.pose.rotation.tobytes(), d.pose.translation.tobytes(),
+        np.float64(d.reproj_err).tobytes(),
     )
 
 
@@ -782,8 +792,8 @@ class TestStackedStages:
         img = render_scene(camera, [left, right], family, noise_sigma=2.0, seed=3)
         real = extract_quads(binarize(img))
         assert len(real) >= 2
-        collinear = Quad(corners=np.array([[10.0, 10], [20, 20], [30, 30], [40, 40]]), area=0.0)
-        collapsed = Quad(corners=np.full((4, 2), 50.0), area=0.0)
+        collinear = Quad(corners=np.array([[10.0, 10], [20, 20], [30, 30], [40, 40]]))
+        collapsed = Quad(corners=np.full((4, 2), 50.0))
         quads = [real[0], collinear, collapsed] + real[1:]
         monkeypatch.setattr(vttag.detector, "extract_quads", lambda *a, **k: quads)
         with warnings.catch_warnings():

@@ -84,9 +84,9 @@ def _ref_tag_cell_grid(family, index):
     return grid
 
 
-def _reference_render(camera, tags, family, noise_sigma=0.0, background=96, seed=0):
+def _reference_render(camera, tags, family, noise_sigma=0.0, seed=0):
     h, w = camera.height, camera.width
-    img = np.full((h, w), np.uint8(background), dtype=np.uint8)
+    img = np.full((h, w), np.uint8(96), dtype=np.uint8)
     depth = None
     cam_origin = camera.pose.translation
     rot = camera.pose.rotation
@@ -236,24 +236,18 @@ class TestTagBitmap:
 
 
 class TestPgm:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         rng = np.random.default_rng(5)
         img = Image(rng.integers(0, 256, (37, 61)).astype(np.uint8))
-        p = tmp_path / "x.pgm"
-        img.save_pgm(p)
-        assert (Image.load_pgm(p).pixels == img.pixels).all()
+        assert (Image.from_pgm(img.to_pgm()).pixels == img.pixels).all()
 
-    def test_comment_handling(self, tmp_path):
-        p = tmp_path / "c.pgm"
-        p.write_bytes(b"P5\n# a comment\n2 2\n255\n\x00\x40\x80\xff")
-        img = Image.load_pgm(p)
+    def test_comment_handling(self):
+        img = Image.from_pgm(b"P5\n# a comment\n2 2\n255\n\x00\x40\x80\xff")
         assert img.pixels.tolist() == [[0, 64], [128, 255]]
 
-    def test_rejects_ascii_pgm(self, tmp_path):
-        p = tmp_path / "bad.pgm"
-        p.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
+    def test_rejects_ascii_pgm(self):
         with pytest.raises(ValueError):
-            Image.load_pgm(p)
+            Image.from_pgm(b"P2\n2 2\n255\n0 1 2 3\n")
 
     def test_image_must_be_2d(self):
         with pytest.raises(ValueError):
@@ -296,8 +290,8 @@ class TestRenderScene:
                 assert val == (255 if code.bits[r * n + c] else 0)
 
     def test_background_value(self, camera, family):
-        img = render_scene(camera, [], family, background=77)
-        assert (img.pixels == 77).all()
+        img = render_scene(camera, [], family)
+        assert (img.pixels == 96).all()
 
     def test_noise_deterministic(self, camera, family):
         a = render_scene(camera, [], family, noise_sigma=3.0, seed=4)
@@ -358,7 +352,7 @@ class TestRenderScene:
         # tag z axis pointing away from the camera: nothing rendered
         tag = PlacedTag(index=0, tag_size=0.7,
                         pose=RigidTransform(np.eye(3), np.array([0, 0, 2.0])))
-        img = render_scene(camera, [tag], family, background=96)
+        img = render_scene(camera, [tag], family)
         assert (img.pixels == 96).all()
 
 

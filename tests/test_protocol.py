@@ -32,11 +32,16 @@ from vttag.transforms import RigidTransform
 
 
 def fake_det(code, x=0.0) -> Detection:
-    quad = Quad(corners=np.array([[0, 0], [0, 9], [9, 9], [9, 0.0]]), area=81.0)
+    quad = Quad(corners=np.array([[0, 0], [0, 9], [9, 9], [9, 0.0]]))
     return Detection(
         quad=quad, code_index=code, rotation=0, hamming_error=0,
         pose=RigidTransform(np.eye(3), np.array([x, 0.0, 6.0])), reproj_err=0.3,
     )
+
+
+def no_report(rsu_id, now, det):
+    """The estimate callback of a test that checks no pose report: none is made."""
+    return None
 
 
 CFG = ProtocolConfig(
@@ -86,10 +91,6 @@ class TestResolveSync:
     def test_absent(self):
         verdict = resolve_sync([], new_code=9)
         assert verdict.kind == "absent" and verdict.tag_xyz is None
-
-    def test_verdict_json_round_trip(self):
-        verdict = resolve_sync([fake_det(9)], new_code=9)
-        assert SyncVerdict.from_json_dict(verdict.to_json_dict()) == verdict
 
 
 class TestAttacker:
@@ -264,7 +265,7 @@ class TestRsu:
         init = ProtocolMessage(
             MsgKind.INITIATE, "bus", "r0", 0, {"client_code": 4}
         )
-        res = rsu_step(RsuState(), [init], [], 1, "r0", "bus")
+        res = rsu_step(RsuState(), [init], [], 1, "r0", "bus", no_report)
         assert res.state == RsuState(client_code=4)
         assert [m.kind for m in res.outbound] == [MsgKind.INITIATE_ACK]
 
@@ -272,20 +273,19 @@ class TestRsu:
         st = RsuState(client_code=4)
         calls = []
 
-        def est_fn(det):
-            calls.append(det)
+        def estimate(rsu_id, now, det):
+            calls.append((rsu_id, now, det))
             from vttag.localization import PlanarPose, PoseEstimate
-            return PoseEstimate(PlanarPose(0, 0, 0), 1.0, "r0", 5)
+            return PoseEstimate(PlanarPose(0, 0, 0), 1.0, rsu_id, now)
 
-        res = rsu_step(st, [], [fake_det(4), fake_det(2)], 5, "r0", "bus",
-                       estimate_fn=est_fn)
+        res = rsu_step(st, [], [fake_det(4), fake_det(2)], 5, "r0", "bus", estimate)
         kinds = [m.kind for m in res.outbound]
         assert kinds == [MsgKind.POSE_REPORT]
-        assert len(calls) == 1 and calls[0].code_index == 4
+        assert len(calls) == 1 and calls[0][:2] == ("r0", 5) and calls[0][2].code_index == 4
 
     def test_confusion_alert_emitted(self):
         st = RsuState(client_code=4)
-        res = rsu_step(st, [], [fake_det(4), fake_det(4)], 5, "r0", "bus")
+        res = rsu_step(st, [], [fake_det(4), fake_det(4)], 5, "r0", "bus", no_report)
         assert any(m.kind is MsgKind.CONFUSION_ALERT for m in res.outbound)
         alert = next(m for m in res.outbound if m.kind is MsgKind.CONFUSION_ALERT)
         assert alert.payload["count"] == 2
@@ -293,7 +293,7 @@ class TestRsu:
     def test_close_goes_idle(self):
         st = RsuState(client_code=4)
         close = ProtocolMessage(MsgKind.CLOSE, "bus", "r0", 9)
-        res = rsu_step(st, [close], [fake_det(4)], 9, "r0", "bus")
+        res = rsu_step(st, [close], [fake_det(4)], 9, "r0", "bus", no_report)
         assert res.state == RsuState()
         kinds = [m.kind for m in res.outbound]
         assert kinds == []  # and no further POSE_REPORTs
@@ -303,7 +303,7 @@ class TestRsu:
         appoint = ProtocolMessage(
             MsgKind.SYNC_APPOINT, "bus", "r0", 3, {"t_act": 8, "round": 1}
         )
-        res = rsu_step(st, [appoint], [], 3, "r0", "bus")
+        res = rsu_step(st, [appoint], [], 3, "r0", "bus", no_report)
         assert res.state == st  # active, not armed
         assert any(name == "protocol_violation" for name, _ in res.events)
 
@@ -315,12 +315,12 @@ class TestRsu:
         appoint = ProtocolMessage(
             MsgKind.SYNC_APPOINT, "bus", "r0", 3, {"t_act": 8, "round": 1}
         )
-        st = rsu_step(st, [upd, appoint], [], 3, "r0", "bus").state
+        st = rsu_step(st, [upd, appoint], [], 3, "r0", "bus", no_report).state
         assert st.pending == (7, 1, 8)  # armed
         # nothing happens before t_act
-        st = rsu_step(st, [], [fake_det(4)], 5, "r0", "bus").state
+        st = rsu_step(st, [], [fake_det(4)], 5, "r0", "bus", no_report).state
         assert st.pending == (7, 1, 8)
-        res = rsu_step(st, [], [fake_det(4), fake_det(7)], 8, "r0", "bus")
+        res = rsu_step(st, [], [fake_det(4), fake_det(7)], 8, "r0", "bus", no_report)
         assert res.state == RsuState(client_code=7)  # adopted on unique verdict
         result = next(m for m in res.outbound if m.kind is MsgKind.SYNC_RESULT)
         assert result.payload["verdict"].kind == "unique"
@@ -387,7 +387,7 @@ RSU_TRANSITIONS = {
 def test_rsu_transition(state, inbox, codes, now, after, kinds, names, result):
     msgs = [ProtocolMessage(kind, "bus", "r0", now, payload) for kind, payload in inbox]
     frame = [fake_det(code, x=float(i)) for i, code in enumerate(codes)]
-    res = rsu_step(state, msgs, frame, now, "r0", "bus")
+    res = rsu_step(state, msgs, frame, now, "r0", "bus", no_report)
     assert res.state == after
     assert [m.kind.value for m in res.outbound] == kinds
     assert [name for name, _ in res.events] == names
@@ -417,7 +417,7 @@ def run_session(latency: int, max_ticks: int = 60):
         return {"r0": tracking_frame(bus_code, attacker_codes["atk"])}
 
     for t in range(max_ticks):
-        step_session(s, t, see, lambda *ev: events.append(ev))
+        step_session(s, t, see, lambda *ev: events.append(ev), no_report)
         if s.bus.phase is BusPhase.FAILED:
             break
     return s.bus, events
@@ -437,7 +437,8 @@ class TestEndToEndWalks:
                 kinds.add(detail["msg"].kind)
 
         for t in range(30):
-            step_session(s, t, lambda t, bus_code, _: {"r0": [fake_det(bus_code)]}, log)
+            step_session(s, t, lambda t, bus_code, _: {"r0": [fake_det(bus_code)]}, log,
+                         no_report)
         assert MsgKind.CONFUSION_ALERT not in kinds
         assert MsgKind.TAG_UPDATE not in kinds
         assert s.bus.displayed_code == 2
@@ -467,7 +468,8 @@ class TestEndToEndWalks:
             return {"b0": [], "r0": tracking_frame(bus_code, attacker_codes["atk"])}
 
         for step in range(40):
-            step_session(s, step, see, lambda t, name, d: logged.append((step, t, name, d)))
+            step_session(s, step, see, lambda t, name, d: logged.append((step, t, name, d)),
+                         no_report)
         assert all(t == step and "tick" not in d for step, t, _, d in logged)
 
         rsu_names = ("rsu_active", "sync_evaluated", "rsu_idle")
@@ -561,7 +563,7 @@ def run_schedule(fates, bystanders, latency, shown):
             if guess == "next":
                 guess = bus.pending_display[0] if bus.pending_display else bus.code_pool[0]
             s.attackers["atk"] = replace(s.attackers["atk"], displayed_code=guess)
-        step_session(s, t, see, lambda *ev: events.append(ev))
+        step_session(s, t, see, lambda *ev: events.append(ev), no_report)
         ch = s.channel
         counts.append((ch.sent, ch.delivered, ch.dropped, len(ch.queue)))
     return s, events, counts

@@ -14,6 +14,7 @@ import pytest
 
 import vttag.detector
 import vttag.simulate
+from vttag.cli import run_cli
 from vttag.errors import ScenarioError
 from vttag.localization import PlanarPose
 from vttag.protocol import ProtocolMessage, MsgKind
@@ -59,10 +60,6 @@ class TestTrajectory:
     def test_waypoints_sorted(self):
         tr = Trajectory(((10, PlanarPose(1, 0, 0)), (0, PlanarPose(0, 0, 0))))
         assert [w[0] for w in tr.waypoints] == [0, 10]
-
-    def test_json_round_trip(self):
-        tr = Trajectory(((0, PlanarPose(0, 0, 0)), (10, PlanarPose(1, 2, 0.3))))
-        assert Trajectory.from_json_list(tr.to_json_list()) == tr
 
 
 def msg(tag=0) -> ProtocolMessage:
@@ -121,6 +118,8 @@ def clone(seed, latency) -> ScenarioConfig:
 # "attackers" means the first attacker
 OUT_OF_RANGE = [
     (None, "max_rounds", 0),
+    (None, "seed", -1),
+    ("family", "seed", -1),
     (None, "delta_sync", 0),
     ("network", "latency", 0),
     ("attackers", "reaction_latency", -1),
@@ -202,13 +201,14 @@ class TestScenarioConfig:
         with pytest.raises(ScenarioError):
             run_scenario(dataclasses.replace(cfg, bus=bad_bus))
 
-    def test_json_round_trip_runs(self, tmp_path):
+    def test_json_round_trip_runs(self, tmp_path, capsys):
+        # a scenario file run through the CLI reports as the dict run directly
         blob = make_baseline_scenario(seed=0, ticks=30)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(blob))
-        loaded = ScenarioConfig.load(path)
+        assert run_cli(["sim-run", "--scenario", str(path), "--out", "-"]) == 0
         direct = ScenarioConfig.from_json_dict(blob)
-        assert run_scenario(loaded).report_json() == run_scenario(direct).report_json()
+        assert capsys.readouterr().out == run_scenario(direct).report_json()
 
     @pytest.mark.parametrize(
         "section, key, value", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS
@@ -246,19 +246,15 @@ class TestScenarioConfig:
             ScenarioConfig.from_json_dict(blob)
 
     @pytest.mark.parametrize("path, value", MALFORMED)
-    def test_rejects_malformed_values(self, tmp_path, path, value):
+    def test_rejects_malformed_values(self, path, value):
         blob = make_clone_attack_scenario(seed=0, reaction_latency=2, ticks=6)
         set_path(blob, path, value)
-        scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps(blob))
         with pytest.raises(ScenarioError):
-            ScenarioConfig.load(scenario)
+            ScenarioConfig.from_json_dict(json.loads(json.dumps(blob)))
 
-    def test_load_bad_config_scenario_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"ticks": 10}))
+    def test_load_bad_config_scenario_error(self):
         with pytest.raises(ScenarioError):
-            ScenarioConfig.load(path)
+            ScenarioConfig.from_json_dict({"ticks": 10})
 
 
 class TestComputeMetrics:
