@@ -43,7 +43,6 @@ from .protocol import (
     SyncVerdict,
     attacker_step,
     bus_step,
-    detect_confusion,
     resolve_sync,
     rsu_step,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "AttackerStrategy",
     "AttackerState",
     "SyncVerdict",
-    "detect_confusion",
     "resolve_sync",
     "bus_step",
     "rsu_step",

@@ -10,9 +10,9 @@ exposed; only a zero-latency mimic survives, which the protocol reports
 as ambiguous rather than guessing.
 
 An RSU's state is the code it tracks (None while idle) and at most one
-pending challenge, (new_code, round, t_act): TAG_UPDATE sets the code
-and round, SYNC_APPOINT the instant t_act, which arms the RSU to judge
-its frame of that tick.
+pending challenge round, (new_code, round, t_act): TAG_UPDATE and
+SYNC_APPOINT each fill one half, in either order, and with both set the
+RSU is armed to judge its frame of tick t_act.
 
 All step functions are pure: state in, state out, plus outbound messages
 and log events, returned as one StepResult. An event says only what
@@ -43,7 +43,6 @@ __all__ = [
     "AttackerState",
     "SyncVerdict",
     "StepResult",
-    "detect_confusion",
     "resolve_sync",
     "make_bus_state",
     "bus_screen",
@@ -160,12 +159,12 @@ class RsuState:
 
     client_code is the code of the tag the RSU tracks for the bus; None
     means the RSU is idle. pending is the challenge round in progress, as
-    (new_code, round, t_act); t_act stays None until that round's
-    SYNC_APPOINT arrives, and a set t_act arms the RSU.
+    (new_code, round, t_act); each half stays None until its message
+    arrives, and the RSU is armed once both are set.
     """
 
     client_code: Optional[int] = None
-    pending: Optional[tuple] = None  # (new_code, round, t_act tick or None)
+    pending: Optional[tuple] = None  # (new_code or None, round, t_act tick or None)
 
 
 class AttackerStrategy(enum.Enum):
@@ -222,17 +221,6 @@ class StepResult:
     state: object  # BusState, RsuState or AttackerState
     outbound: tuple  # ProtocolMessage; attackers send none
     events: tuple  # (name, detail dict) pairs for the log
-
-
-def detect_confusion(
-    detections: Sequence[Detection], client_code: int
-) -> Optional[int]:
-    """Count of same-frame detections decoding to client_code, if >= 2.
-
-    Returns that count, or None when the frame is unambiguous.
-    """
-    count = sum(1 for d in detections if d.code_index == client_code)
-    return count if count >= 2 else None
 
 
 def resolve_sync(
@@ -477,26 +465,22 @@ def rsu_step(
         elif msg.kind is MsgKind.CLOSE:
             st = RsuState()
             events.append(("rsu_idle", {}))
-        elif msg.kind is MsgKind.TAG_UPDATE:
-            if st.client_code is None:
-                continue
-            # an update while armed replaces the code and round, not t_act
-            t_act = st.pending[2] if st.pending is not None else None
+        elif msg.kind in (MsgKind.TAG_UPDATE, MsgKind.SYNC_APPOINT) and st.client_code is not None:
             rnd = int(msg.payload["round"])
-            st = replace(st, pending=(int(msg.payload["new_code"]), rnd, t_act))
-        elif msg.kind is MsgKind.SYNC_APPOINT:
-            if st.client_code is None:
-                continue
-            rnd = int(msg.payload["round"])
-            if st.pending is None or st.pending[1] != rnd:
-                events.append(
-                    ("protocol_violation", {"detail": "SYNC_APPOINT without matching TAG_UPDATE"})
-                )
-                continue
-            st = replace(st, pending=(st.pending[0], rnd, int(msg.payload["t_act"])))
+            new_code, pending_rnd, t_act = st.pending or (None, rnd, None)
+            if pending_rnd > rnd:
+                continue  # a half of an older round
+            if pending_rnd < rnd:  # a newer round starts with this half
+                new_code = t_act = None
+            if msg.kind is MsgKind.TAG_UPDATE:
+                new_code = int(msg.payload["new_code"])
+            else:
+                t_act = int(msg.payload["t_act"])
+            st = replace(st, pending=(new_code, rnd, t_act))
 
-    new_code, rnd, t_act = st.pending if st.pending is not None else (None, None, None)
-    if t_act is not None and now == t_act:
+    new_code, rnd, t_act = st.pending or (None, None, None)
+    armed = new_code is not None and t_act is not None
+    if armed and now == t_act:
         verdict = resolve_sync(frame, new_code)
         out.append(
             ProtocolMessage(
@@ -511,9 +495,9 @@ def rsu_step(
         st = RsuState(
             client_code=new_code if verdict.kind == "unique" else st.client_code
         )
-    elif t_act is not None and now > t_act:
-        # the appointment arrived after its instant (network latency above
-        # delta_sync): no frame of t_act is left to judge, so drop it
+    elif armed and now > t_act:
+        # the round's second half arrived after its instant (network
+        # latency above delta_sync): no frame of t_act is left to judge
         events.append(("sync_missed", {"t_act": t_act, "round": rnd}))
         st = RsuState(client_code=st.client_code)
 
@@ -532,15 +516,14 @@ def rsu_step(
                     {"estimate": est, "code_index": det.code_index},
                 )
             )
-        count = detect_confusion(frame, st.client_code)
-        if count is not None:
+        if len(matching) >= 2:
             out.append(
                 ProtocolMessage(
                     MsgKind.CONFUSION_ALERT,
                     rsu_id,
                     bus_id,
                     now,
-                    {"code_index": st.client_code, "count": count},
+                    {"code_index": st.client_code, "count": len(matching)},
                 )
             )
 

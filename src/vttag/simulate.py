@@ -48,6 +48,7 @@ __all__ = [
     "Trajectory",
     "RsuSpec",
     "VehicleSpec",
+    "BusSpec",
     "AttackerSpec",
     "NetworkSpec",
     "ScenarioConfig",
@@ -117,47 +118,40 @@ class RsuSpec:
     camera: CameraModel
 
 
-def _validate_mount(agent_id: str, mount: RigidTransform) -> None:
-    try:
-        mount.validate()
-    except ValueError as exc:
-        raise ScenarioError(f"mount of {agent_id}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class VehicleSpec:
-    """The bus: roof tag mount, geometry, session window, and motion."""
+    """A vehicle with a tag: its code, the tag's geometry and mount, and its motion."""
 
     id: str
     initial_code: int
     tag_size: float
     mount: RigidTransform  # tag -> vehicle
     trajectory: Trajectory
-    enter_tick: int
-    leave_tick: int
 
     def __post_init__(self):
         if not 0 < self.tag_size < math.inf:
             raise ScenarioError(f"tag_size of {self.id} must be positive")
-        _validate_mount(self.id, self.mount)
+        try:
+            self.mount.validate()
+        except ValueError as exc:
+            raise ScenarioError(f"mount of {self.id}: {exc}") from exc
 
 
 @dataclass(frozen=True)
-class AttackerSpec:
-    id: str
+class BusSpec(VehicleSpec):
+    enter_tick: int
+    leave_tick: int
+
+
+@dataclass(frozen=True)
+class AttackerSpec(VehicleSpec):
     strategy: AttackerStrategy
     reaction_latency: int
-    initial_code: int
-    tag_size: float
-    mount: RigidTransform
-    trajectory: Trajectory
 
     def __post_init__(self):
+        super().__post_init__()
         if self.reaction_latency < 0:
             raise ScenarioError(f"reaction_latency of {self.id} must be >= 0")
-        if not 0 < self.tag_size < math.inf:
-            raise ScenarioError(f"tag_size of {self.id} must be positive")
-        _validate_mount(self.id, self.mount)
 
 
 @dataclass(frozen=True)
@@ -183,7 +177,7 @@ class ScenarioConfig:
     family_count: int
     family_seed: int
     rsus: tuple
-    bus: VehicleSpec
+    bus: BusSpec
     attackers: tuple = ()
     network: NetworkSpec = field(default_factory=NetworkSpec)
     noise_sigma: float = 0.0
@@ -210,6 +204,19 @@ class ScenarioConfig:
             raise ScenarioError("agent ids must be unique")
         if not 0 <= self.bus.enter_tick < self.bus.leave_tick <= self.ticks:
             raise ScenarioError("need 0 <= enter < leave <= ticks")
+        try:
+            size = len(self.family)
+        except ValueError as exc:  # generate_family owns the family's limits
+            raise ScenarioError(f"family: {exc}") from exc
+        for spec in (self.bus,) + self.attackers:
+            if not 0 <= spec.initial_code < size:
+                raise ScenarioError(
+                    f"initial code {spec.initial_code} of {spec.id} outside family of {size}"
+                )
+
+    @property
+    def family(self) -> TagFamily:
+        return _family_for(self.family_n, self.family_d_min, self.family_count, self.family_seed)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScenarioConfig":
@@ -241,7 +248,7 @@ class ScenarioConfig:
                 family_count=int(fam["count"]),
                 family_seed=int(fam["seed"]),
                 rsus=rsus,
-                bus=VehicleSpec(
+                bus=BusSpec(
                     id=str(bus.get("id", "bus")),
                     initial_code=int(bus["initial_code"]),
                     tag_size=float(bus["tag_size"]),
@@ -370,7 +377,9 @@ def compute_metrics(events, truth, config: ScenarioConfig) -> dict:
     failed = any(
         ev["event"] == "phase" and ev.get("phase") == "FAILED" for ev in events
     )
-    accepted = any(ev["event"] == "attacker_accepted" for ev in events)
+    accepted = any(
+        ev["event"] == "sync_attribution" and ev["entity"] != config.bus.id for ev in events
+    )
     rounds = resolved[0]["round"] if resolved else max(
         (ev["round"] for ev in events if ev["event"] == "challenge"), default=0
     )
@@ -471,15 +480,7 @@ def step_session(s: Session, t: int, see, log, estimate) -> tuple:
 
 def run_scenario(config: ScenarioConfig) -> SimReport:
     """Run the full tick loop; deterministic given the config."""
-    family = _family_for(
-        config.family_n, config.family_d_min, config.family_count, config.family_seed
-    )
-    for spec in (config.bus,) + config.attackers:
-        code = spec.initial_code
-        if not 0 <= code < len(family):
-            raise ScenarioError(
-                f"initial code {code} of {spec.id} outside family of {len(family)}"
-            )
+    family = config.family
 
     session = Session(
         config=ProtocolConfig(
@@ -512,8 +513,6 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
                 placed_at, key=lambda e: float(np.linalg.norm(placed_at[e][1] - world_xyz))
             )
             events.append({"tick": tick, "event": "sync_attribution", "rsu": rid, "entity": best})
-            if best != config.bus.id:
-                events.append({**events[-1], "event": "attacker_accepted"})
 
     # a camera's noise depends only on the seed, the camera, the tick and
     # the frame shape, and numpy draws it without holding the GIL; so each

@@ -296,7 +296,7 @@ class TestSimRun:
         assert run_cli([
             "sim-run", "--scenario", str(scenario), "--out", "-",
         ]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("path, value", MALFORMED)
     def test_malformed_scenario_exits_1(self, tmp_path, capsys, path, value):

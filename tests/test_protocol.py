@@ -22,7 +22,6 @@ from vttag.protocol import (
     attacker_step,
     bus_screen,
     bus_step,
-    detect_confusion,
     make_bus_state,
     resolve_sync,
     rsu_step,
@@ -62,18 +61,6 @@ class TestMessages:
         )
         d = m.to_json_dict()
         assert d["kind"] == "CONFUSION_ALERT" and d["payload"]["count"] == 2
-
-
-class TestDetectConfusion:
-    def test_zero_or_one_is_silent(self):
-        assert detect_confusion([], 3) is None
-        assert detect_confusion([fake_det(3)], 3) is None
-        assert detect_confusion([fake_det(1), fake_det(2)], 3) is None
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_duplicates_alert_with_count(self, k):
-        frame = [fake_det(5) for _ in range(k)] + [fake_det(1)]
-        assert detect_confusion(frame, 5) == k
 
 
 class TestResolveSync:
@@ -298,14 +285,22 @@ class TestRsu:
         kinds = [m.kind for m in res.outbound]
         assert kinds == []  # and no further POSE_REPORTs
 
-    def test_sync_appoint_without_update_violation(self):
+    def test_sync_appoint_before_update_arms_with_it(self):
         st = RsuState(client_code=4)
         appoint = ProtocolMessage(
             MsgKind.SYNC_APPOINT, "bus", "r0", 3, {"t_act": 8, "round": 1}
         )
-        res = rsu_step(st, [appoint], [], 3, "r0", "bus", no_report)
-        assert res.state == st  # active, not armed
-        assert any(name == "protocol_violation" for name, _ in res.events)
+        upd = ProtocolMessage(
+            MsgKind.TAG_UPDATE, "bus", "r0", 3, {"new_code": 7, "round": 1}
+        )
+        res = rsu_step(st, [appoint], [], 4, "r0", "bus", no_report)
+        assert res.state.pending == (None, 1, 8)  # active, not armed
+        assert res.events == () and res.outbound == ()
+        st = rsu_step(res.state, [upd], [], 5, "r0", "bus", no_report).state
+        assert st.pending == (7, 1, 8)  # armed
+        res = rsu_step(st, [], [fake_det(4), fake_det(7)], 8, "r0", "bus", no_report)
+        assert res.state == RsuState(client_code=7)
+        assert [m.payload["verdict"].kind for m in res.outbound] == ["unique"]
 
     def test_armed_rsu_evaluates_at_t_act(self):
         st = RsuState(client_code=4)
@@ -329,13 +324,15 @@ class TestRsu:
 IDLE = RsuState()
 ACTIVE = RsuState(client_code=4)
 UPDATED = RsuState(client_code=4, pending=(7, 1, None))
+APPOINTED = RsuState(client_code=4, pending=(None, 1, 8))
 ARMED = RsuState(client_code=4, pending=(7, 1, 8))
 UPDATE_1 = (MsgKind.TAG_UPDATE, {"new_code": 7, "round": 1})
 APPOINT_1 = (MsgKind.SYNC_APPOINT, {"t_act": 8, "round": 1})
 CLOSE = (MsgKind.CLOSE, {})
 
 # state, inbox, codes in frame, now -> next state, outbound kinds, event
-# names, and the SYNC_RESULT's (verdict kind, round) if one is sent
+# names, and the SYNC_RESULT's (verdict kind, round) or the CONFUSION_ALERT's
+# count if one is sent
 RSU_TRANSITIONS = {
     "initiate": (
         IDLE, [(MsgKind.INITIATE, {"client_code": 4})], [], 1,
@@ -350,18 +347,31 @@ RSU_TRANSITIONS = {
     "update": (ACTIVE, [UPDATE_1], [], 3, UPDATED, [], [], None),
     "update_and_appoint": (ACTIVE, [UPDATE_1, APPOINT_1], [], 3, ARMED, [], [], None),
     "appoint_after_update": (UPDATED, [APPOINT_1], [], 4, ARMED, [], [], None),
-    "appoint_without_update": (
-        ACTIVE, [APPOINT_1], [], 3, ACTIVE, [], ["protocol_violation"], None,
-    ),
+    "appoint_without_update": (ACTIVE, [APPOINT_1], [], 3, APPOINTED, [], [], None),
+    "appoint_and_update": (ACTIVE, [APPOINT_1, UPDATE_1], [], 3, ARMED, [], [], None),
+    "update_after_appoint": (APPOINTED, [UPDATE_1], [], 4, ARMED, [], [], None),
     "appoint_for_another_round": (
         UPDATED, [(MsgKind.SYNC_APPOINT, {"t_act": 8, "round": 2})], [], 3,
-        UPDATED, [], ["protocol_violation"], None,
+        RsuState(client_code=4, pending=(None, 2, 8)), [], [], None,
     ),
-    "update_while_armed_keeps_t_act": (
+    "update_while_armed_starts_next_round": (
         ARMED, [(MsgKind.TAG_UPDATE, {"new_code": 9, "round": 2})], [], 5,
-        RsuState(client_code=4, pending=(9, 2, 8)), [], [], None,
+        RsuState(client_code=4, pending=(9, 2, None)), [], [], None,
+    ),
+    "update_of_older_round": (
+        RsuState(client_code=4, pending=(None, 2, 8)), [UPDATE_1], [], 4,
+        RsuState(client_code=4, pending=(None, 2, 8)), [], [], None,
+    ),
+    "appoint_of_older_round": (
+        RsuState(client_code=4, pending=(9, 2, None)), [APPOINT_1], [], 4,
+        RsuState(client_code=4, pending=(9, 2, None)), [], [], None,
     ),
     "armed_before_t_act": (ARMED, [], [4, 7], 7, ARMED, [], [], None),
+    "appointed_only_at_t_act": (APPOINTED, [], [4, 7], 8, APPOINTED, [], [], None),
+    "one_copy_silent": (ACTIVE, [], [4, 2], 5, ACTIVE, [], [], None),
+    "three_copies_alert": (
+        ACTIVE, [], [4, 4, 2, 4], 5, ACTIVE, ["CONFUSION_ALERT"], [], 3,
+    ),
     "unique_at_t_act": (
         ARMED, [], [4, 7], 8,
         RsuState(client_code=7), ["SYNC_RESULT"], ["sync_evaluated"], ("unique", 1),
@@ -393,10 +403,12 @@ def test_rsu_transition(state, inbox, codes, now, after, kinds, names, result):
     assert [name for name, _ in res.events] == names
     sent = [
         (m.payload["verdict"].kind, m.payload["round"])
-        for m in res.outbound
         if m.kind is MsgKind.SYNC_RESULT
+        else m.payload["count"]
+        for m in res.outbound
+        if m.kind in (MsgKind.SYNC_RESULT, MsgKind.CONFUSION_ALERT)
     ]
-    assert sent == ([result] if result else [])
+    assert sent == ([] if result is None else [result])
 
 
 def tracking_frame(bus_code, attacker_code) -> list:
@@ -577,6 +589,9 @@ def run_schedule(fates, bystanders, latency, shown):
         st.integers(0, SCHEDULE_TICKS - 1), st.one_of(st.integers(0, 29), st.just("next"))
     ),
 )
+# the first TAG_UPDATE takes 2 ticks and its SYNC_APPOINT 1, so the
+# appointment reaches r0 first
+@example(fates=[1, 1, 1, 1, 2], bystanders=[], latency=2, shown={})
 @settings(max_examples=400, deadline=None)
 def test_driver_under_adversarial_schedules(fates, bystanders, latency, shown):
     s, events, counts = run_schedule(fates, bystanders, latency, shown)
@@ -596,5 +611,25 @@ def test_driver_under_adversarial_schedules(fates, bystanders, latency, shown):
     unique = [d["verdict"] for _, name, d in events
               if name == "sync_evaluated" and d["verdict"]["kind"] == "unique"]
     assert all(v["tag_xyz"][0] == 0.0 for v in unique)
+
+    # an active RSU that holds both halves of round r by its t_act, and no
+    # half of a later round, judges round r at t_act, whichever came first
+    delivered = [(d["deliver_at"], d["msg"]) for _, d in posted if not d["dropped"]]
+    judged = {(d["rsu"], t) for t, name, d in events if name == "sync_evaluated"}
+    halves = (MsgKind.TAG_UPDATE, MsgKind.SYNC_APPOINT)
+    for _, name, c in events:
+        if name != "challenge" or c["t_act"] >= SCHEDULE_TICKS:
+            continue
+        for rid in s.rsus:
+            got = [m for at, m in delivered if m.receiver == rid and at <= c["t_act"]]
+            kinds = {m.kind for m in got}
+            held = {(m.kind, m.payload["round"]) for m in got if m.kind in halves}
+            if (
+                MsgKind.INITIATE in kinds
+                and MsgKind.CLOSE not in kinds
+                and {(k, c["round"]) for k in halves} <= held
+                and all(r <= c["round"] for _, r in held)
+            ):
+                assert (rid, c["t_act"]) in judged
 
     assert run_schedule(fates, bystanders, latency, shown)[1] == events

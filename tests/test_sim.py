@@ -120,6 +120,9 @@ OUT_OF_RANGE = [
     (None, "max_rounds", 0),
     (None, "seed", -1),
     ("family", "seed", -1),
+    ("family", "n", 9),
+    ("family", "d_min", 0),
+    ("family", "count", 3_000_000),
     (None, "delta_sync", 0),
     ("network", "latency", 0),
     ("attackers", "reaction_latency", -1),
@@ -199,7 +202,7 @@ class TestScenarioConfig:
         cfg = baseline()
         bad_bus = dataclasses.replace(cfg.bus, initial_code=999)
         with pytest.raises(ScenarioError):
-            run_scenario(dataclasses.replace(cfg, bus=bad_bus))
+            dataclasses.replace(cfg, bus=bad_bus)
 
     def test_json_round_trip_runs(self, tmp_path, capsys):
         # a scenario file run through the CLI reports as the dict run directly
@@ -300,7 +303,7 @@ class TestComputeMetrics:
             {"event": "confusion_alert", "tick": 3},
             {"event": "challenge", "tick": 3, "round": 1},
             {"event": "sync_resolved", "tick": 9, "round": 1},
-            {"event": "attacker_accepted", "tick": 9},
+            {"event": "sync_attribution", "tick": 9, "rsu": "rsu0", "entity": "atk0"},
         ]
         m = compute_metrics(events, [], cfg)
         assert m["confusion_alerts"] == 1
