@@ -369,6 +369,7 @@ RSU_TRANSITIONS = {
     "armed_before_t_act": (ARMED, [], [4, 7], 7, ARMED, [], [], None),
     "appointed_only_at_t_act": (APPOINTED, [], [4, 7], 8, APPOINTED, [], [], None),
     "one_copy_silent": (ACTIVE, [], [4, 2], 5, ACTIVE, [], [], None),
+    "two_copies_alert": (ACTIVE, [], [4, 2, 4], 5, ACTIVE, ["CONFUSION_ALERT"], [], 2),
     "three_copies_alert": (
         ACTIVE, [], [4, 4, 2, 4], 5, ACTIVE, ["CONFUSION_ALERT"], [], 3,
     ),
