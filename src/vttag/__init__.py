@@ -47,7 +47,7 @@ from .protocol import (
     rsu_step,
 )
 from .simulate import ScenarioConfig, SimReport, compute_metrics, run_scenario
-from .transforms import RigidTransform, look_at, planar_to_world, wrap_angle
+from .transforms import RigidTransform, planar_to_world, wrap_angle
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "run_scenario",
     "compute_metrics",
     "RigidTransform",
-    "look_at",
     "planar_to_world",
     "wrap_angle",
     "VttagError",

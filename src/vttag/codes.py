@@ -402,17 +402,19 @@ def generate_family(
     both phases, so a family the greedy pass completes never reaches the
     swap phase. Deterministic given all arguments.
 
-    Raises ValueError unless 2 <= n <= 8 and seed >= 0, and
-    GenerationExhausted if the search ends with zero acceptances.
+    Raises ValueError unless 2 <= n <= 8, d_min >= 1,
+    1 <= max_codes <= budget and seed >= 0; its messages call max_codes
+    the count, as the CLI and scenario files do. Raises GenerationExhausted
+    if the search ends with zero acceptances.
     """
     if not 2 <= n <= _MAX_N:
         raise ValueError(f"n must be in 2..{_MAX_N}, got {n}")
     if d_min < 1:
         raise ValueError("d_min must be >= 1")
     if max_codes < 1:
-        raise ValueError("max_codes must be >= 1")
+        raise ValueError("count must be >= 1")
     if budget < max_codes:
-        raise ValueError("budget must be >= max_codes")
+        raise ValueError(f"count {max_codes} exceeds the budget of {budget} candidates")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     if d_min > _max_self_distance(n):

@@ -15,9 +15,10 @@ SYNC_APPOINT each fill one half, in either order, and with both set the
 RSU is armed to judge its frame of tick t_act.
 
 All step functions are pure: state in, state out, plus outbound messages
-and log events, returned as one StepResult. An event says only what
-happened; the driver that steps the agents stamps it with the tick and
-the agent. Agents never share mutable state, and each agent's state is
+and log events, returned as one StepResult. An event or a message says
+only what happened; the driver that steps the agents stamps each event
+with the tick and the agent, and logs each message with the tick it was
+posted in. Agents never share mutable state, and each agent's state is
 the only record of what its screen shows (bus_screen reads the bus's).
 """
 
@@ -81,7 +82,6 @@ class ProtocolMessage:
     kind: MsgKind
     sender: str
     receiver: str
-    sent_at: int
     payload: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -100,7 +100,6 @@ class ProtocolMessage:
             "kind": self.kind.value,
             "sender": self.sender,
             "receiver": self.receiver,
-            "sent_at": self.sent_at,
             "payload": payload,
         }
 
@@ -282,6 +281,19 @@ def _enter(state: BusState, phase: BusPhase, events: list) -> BusState:
     return replace(state, phase=phase)
 
 
+def _to_rsus(config: ProtocolConfig, *messages: tuple) -> list:
+    """The bus's (kind, payload) messages, addressed RSU by RSU.
+
+    Each RSU gets every message in the given order before the next RSU
+    gets any: the lossy Channel draws drops in send order.
+    """
+    return [
+        ProtocolMessage(kind, config.bus_id, rsu, payload)
+        for rsu in config.rsu_ids
+        for kind, payload in messages
+    ]
+
+
 def _challenge(
     state: BusState, now: int, config: ProtocolConfig, events: list
 ) -> tuple[BusState, list]:
@@ -292,26 +304,11 @@ def _challenge(
     new_code = state.code_pool[0]
     rnd = state.round + 1
     t_act = now + config.delta_sync
-    out = []
-    for rsu in config.rsu_ids:
-        out.append(
-            ProtocolMessage(
-                MsgKind.TAG_UPDATE,
-                config.bus_id,
-                rsu,
-                now,
-                {"new_code": new_code, "round": rnd},
-            )
-        )
-        out.append(
-            ProtocolMessage(
-                MsgKind.SYNC_APPOINT,
-                config.bus_id,
-                rsu,
-                now,
-                {"t_act": t_act, "round": rnd},
-            )
-        )
+    out = _to_rsus(
+        config,
+        (MsgKind.TAG_UPDATE, {"new_code": new_code, "round": rnd}),
+        (MsgKind.SYNC_APPOINT, {"t_act": t_act, "round": rnd}),
+    )
     events.append(("challenge", {"round": rnd, "new_code": new_code, "t_act": t_act}))
     nxt = replace(
         state, round=rnd, pending_display=(new_code, t_act), code_pool=state.code_pool[1:]
@@ -341,16 +338,7 @@ def bus_step(
         events.append(("display_switched", {"code": st.displayed_code}))
 
     if st.phase is BusPhase.IDLE and now == config.enter_tick:
-        for rsu in config.rsu_ids:
-            out.append(
-                ProtocolMessage(
-                    MsgKind.INITIATE,
-                    config.bus_id,
-                    rsu,
-                    now,
-                    {"client_code": st.displayed_code},
-                )
-            )
+        out += _to_rsus(config, (MsgKind.INITIATE, {"client_code": st.displayed_code}))
         st = _enter(replace(st, pending_acks=config.rsu_ids), BusPhase.APPROACHING, events)
 
     reports: list = []
@@ -431,8 +419,7 @@ def bus_step(
         now == config.leave_tick
         and st.phase not in (BusPhase.IDLE, BusPhase.LEAVING)
     ):
-        for rsu in config.rsu_ids:
-            out.append(ProtocolMessage(MsgKind.CLOSE, config.bus_id, rsu, now))
+        out += _to_rsus(config, (MsgKind.CLOSE, {}))
         st = _enter(st, BusPhase.LEAVING, events)
 
     return StepResult(state=st, outbound=tuple(out), events=tuple(events))
@@ -457,10 +444,13 @@ def rsu_step(
     out: list = []
     st = state
 
+    def to_bus(kind, **payload):
+        out.append(ProtocolMessage(kind, rsu_id, bus_id, payload))
+
     for msg in inbox:
         if msg.kind is MsgKind.INITIATE:
             st = RsuState(client_code=int(msg.payload["client_code"]))
-            out.append(ProtocolMessage(MsgKind.INITIATE_ACK, rsu_id, bus_id, now))
+            to_bus(MsgKind.INITIATE_ACK)
             events.append(("rsu_active", {}))
         elif msg.kind is MsgKind.CLOSE:
             st = RsuState()
@@ -482,15 +472,7 @@ def rsu_step(
     armed = new_code is not None and t_act is not None
     if armed and now == t_act:
         verdict = resolve_sync(frame, new_code)
-        out.append(
-            ProtocolMessage(
-                MsgKind.SYNC_RESULT,
-                rsu_id,
-                bus_id,
-                now,
-                {"verdict": verdict, "round": rnd},
-            )
-        )
+        to_bus(MsgKind.SYNC_RESULT, verdict=verdict, round=rnd)
         events.append(("sync_evaluated", {"verdict": verdict.to_json_dict()}))
         st = RsuState(
             client_code=new_code if verdict.kind == "unique" else st.client_code
@@ -505,27 +487,10 @@ def rsu_step(
         matching = [d for d in frame if d.code_index == st.client_code]
         for det in matching:
             est = estimate(rsu_id, now, det)
-            if est is None:
-                continue
-            out.append(
-                ProtocolMessage(
-                    MsgKind.POSE_REPORT,
-                    rsu_id,
-                    bus_id,
-                    now,
-                    {"estimate": est, "code_index": det.code_index},
-                )
-            )
+            if est is not None:
+                to_bus(MsgKind.POSE_REPORT, estimate=est, code_index=det.code_index)
         if len(matching) >= 2:
-            out.append(
-                ProtocolMessage(
-                    MsgKind.CONFUSION_ALERT,
-                    rsu_id,
-                    bus_id,
-                    now,
-                    {"code_index": st.client_code, "count": len(matching)},
-                )
-            )
+            to_bus(MsgKind.CONFUSION_ALERT, code_index=st.client_code, count=len(matching))
 
     return StepResult(state=st, outbound=tuple(out), events=tuple(events))
 

@@ -277,7 +277,7 @@ class Channel:
 
     Drops are decided at send time from a dedicated counter-based stream,
     so delivery is independent of processing order. Counters satisfy
-    sent == delivered + dropped at all times once the queue drains.
+    sent == delivered + dropped + len(queue) at all times.
     """
 
     def __init__(self, latency: int, drop: float, seed: int):
@@ -448,17 +448,17 @@ def step_session(s: Session, t: int, see, log, estimate) -> tuple:
     log(t, name, detail) receives each agent's events right after it
     steps, stamped with who stepped: an RSU's with its "rsu" id, an
     attacker's with its "agent" id, the bus's with nothing. Then comes one
-    "message" event per message the agent posted, with the tick it is due
-    ("deliver_at", None when dropped). estimate(rsu_id, t, det) turns a
-    detection of the bus's code into that RSU's pose report, or None.
+    "message" event per message the agent posted: its tick is the send
+    tick, and "deliver_at" the tick the message is due, None when dropped.
+    estimate(rsu_id, t, det) turns a detection of the bus's code into that
+    RSU's pose report, or None.
     """
 
     def record(res, **who):
         for name, detail in res.events:
             log(t, name, {**detail, **who})
         for m in res.outbound:
-            deliver_at = s.channel.send(m, t)
-            log(t, "message", {"msg": m, "deliver_at": deliver_at, "dropped": deliver_at is None})
+            log(t, "message", {"msg": m, "deliver_at": s.channel.send(m, t)})
         return res.state
 
     bus_code = bus_screen(s.bus, t)
@@ -583,7 +583,7 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
     metrics["messages_sent"] = channel.sent
     metrics["messages_delivered"] = channel.delivered
     metrics["messages_dropped"] = channel.dropped
-    metrics["messages_in_flight"] = channel.sent - channel.delivered - channel.dropped
+    metrics["messages_in_flight"] = len(channel._queue)
     metrics["final_bus_phase"] = session.bus.phase.value
     metrics["bus_resolved_tick"] = session.bus.resolved_tick
 

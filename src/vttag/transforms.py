@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RigidTransform", "look_at", "planar_to_world", "wrap_angle"]
+__all__ = ["RigidTransform", "planar_to_world", "wrap_angle"]
 
 _ORTHO_TOL = 1e-9
 
@@ -75,30 +75,8 @@ class RigidTransform:
         return cls(np.array(d["R"], dtype=float).reshape(3, 3), np.array(d["t"], dtype=float))
 
 
-def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> RigidTransform:
-    """Camera-to-world pose for a camera at `eye` whose optical axis points at `target`.
-
-    Camera convention: z forward, x right, y down (so `up` in the world maps
-    to -y in the image).
-    """
-    eye = np.asarray(eye, dtype=float)
-    fwd = np.asarray(target, dtype=float) - eye
-    nf = np.linalg.norm(fwd)
-    if nf < 1e-12:
-        raise ValueError("eye and target coincide")
-    z = fwd / nf
-    upv = np.asarray(up, dtype=float)
-    x = np.cross(z, upv)
-    nx = np.linalg.norm(x)
-    if nx < 1e-12:
-        raise ValueError("view direction parallel to up vector")
-    x /= nx
-    y = np.cross(z, x)
-    return RigidTransform(np.column_stack([x, y, z]), eye)
-
-
-def planar_to_world(x: float, y: float, yaw: float, z: float = 0.0) -> RigidTransform:
-    """Vehicle-to-world transform for a ground pose (x, y, yaw) at height z."""
+def planar_to_world(x: float, y: float, yaw: float) -> RigidTransform:
+    """Vehicle-to-world transform for a ground pose (x, y, yaw), on the ground plane."""
     c, s = np.cos(yaw), np.sin(yaw)
     r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return RigidTransform(r, np.array([x, y, z]))
+    return RigidTransform(r, np.array([x, y, 0.0]))

@@ -81,7 +81,7 @@ class TestFamilyGen:
             option, value, "--out", "-",
         ]) == 1
         err = assert_one_error_line(capsys)
-        assert option != "--seed" or "seed" in err
+        assert option[2:].replace("-", "_") in err  # the error names the setting
 
 
 class TestTagRender:
@@ -296,7 +296,7 @@ class TestSimRun:
         assert run_cli([
             "sim-run", "--scenario", str(scenario), "--out", "-",
         ]) == 1
-        assert_one_error_line(capsys)
+        assert key in assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("path, value", MALFORMED)
     def test_malformed_scenario_exits_1(self, tmp_path, capsys, path, value):

@@ -47,7 +47,7 @@ class TestVehiclePoseFromDetection:
     def test_identity_mount_overhead(self):
         # tag directly below the camera at known (X, Y), yawed 0.3
         cam = overhead_camera()
-        veh = planar_to_world(2.0, 1.0, 0.3, z=0.0)
+        veh = planar_to_world(2.0, 1.0, 0.3)
         mount = RigidTransform.identity()
         tag_world = veh @ mount
         det = fake_detection(cam.pose.inverse() @ tag_world)

@@ -52,15 +52,16 @@ CFG = ProtocolConfig(
 class TestMessages:
     def test_payload_validation(self):
         with pytest.raises(ValueError):
-            ProtocolMessage(MsgKind.TAG_UPDATE, "bus", "r0", 0, {"new_code": 3})
-        ProtocolMessage(MsgKind.TAG_UPDATE, "bus", "r0", 0, {"new_code": 3, "round": 1})
+            ProtocolMessage(MsgKind.TAG_UPDATE, "bus", "r0", {"new_code": 3})
+        ProtocolMessage(MsgKind.TAG_UPDATE, "bus", "r0", {"new_code": 3, "round": 1})
 
     def test_json_dict(self):
         m = ProtocolMessage(
-            MsgKind.CONFUSION_ALERT, "r0", "bus", 7, {"code_index": 2, "count": 2}
+            MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 2, "count": 2}
         )
         d = m.to_json_dict()
         assert d["kind"] == "CONFUSION_ALERT" and d["payload"]["count"] == 2
+        assert sorted(d) == ["kind", "payload", "receiver", "sender"]  # the driver logs the tick
 
 
 class TestResolveSync:
@@ -120,16 +121,16 @@ class TestBusBasics:
 
     def test_all_acks_start_localizing(self):
         bus = bus_step(make_bus_state(0, 30, seed=1), [], 0, CFG).state
-        ack = ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus", 1)
+        ack = ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus")
         st = bus_step(bus, [ack], 1, CFG).state
         assert st.phase is BusPhase.LOCALIZING
 
     def test_confusion_triggers_challenge(self):
         bus = bus_step(make_bus_state(0, 30, seed=1), [], 0, CFG).state
-        ack = ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus", 1)
+        ack = ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus")
         bus = bus_step(bus, [ack], 1, CFG).state
         alert = ProtocolMessage(
-            MsgKind.CONFUSION_ALERT, "r0", "bus", 2, {"code_index": 0, "count": 2}
+            MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 0, "count": 2}
         )
         res = bus_step(bus, [alert], 2, CFG)
         kinds = sorted(m.kind.value for m in res.outbound)
@@ -148,14 +149,14 @@ class TestBusBasics:
 
     def test_stale_sync_result_ignored(self):
         bus = bus_step(make_bus_state(0, 30, seed=1), [], 0, CFG).state
-        ack = ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus", 1)
+        ack = ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus")
         bus = bus_step(bus, [ack], 1, CFG).state
         alert = ProtocolMessage(
-            MsgKind.CONFUSION_ALERT, "r0", "bus", 2, {"code_index": 0, "count": 2}
+            MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 0, "count": 2}
         )
         bus = bus_step(bus, [alert], 2, CFG).state
         stale = ProtocolMessage(
-            MsgKind.SYNC_RESULT, "r0", "bus", 3,
+            MsgKind.SYNC_RESULT, "r0", "bus",
             {"verdict": SyncVerdict(kind="unique", count=1), "round": 99},
         )
         res = bus_step(bus, [stale], 3, CFG)
@@ -169,6 +170,31 @@ class TestBusBasics:
         res = bus_step(bus, [], 5, cfg)
         assert [m.kind for m in res.outbound] == [MsgKind.CLOSE]
         assert res.state.phase is BusPhase.LEAVING
+
+    def test_sends_rsu_by_rsu(self):
+        # the lossy Channel draws drops in send order, so each tick's order
+        # fixes which messages a drop stream takes: every RSU gets all its
+        # messages, the TAG_UPDATE before the SYNC_APPOINT, before the next
+        cfg = replace(CFG, rsu_ids=("r0", "r1"), leave_tick=3)
+        sent = []
+        res = bus_step(make_bus_state(0, 30, seed=1), [], 0, cfg)
+        sent.append(res.outbound)
+        acks = [ProtocolMessage(MsgKind.INITIATE_ACK, rsu, "bus") for rsu in cfg.rsu_ids]
+        bus = bus_step(res.state, acks, 1, cfg).state
+        alert = ProtocolMessage(
+            MsgKind.CONFUSION_ALERT, "r1", "bus", {"code_index": 0, "count": 2}
+        )
+        res = bus_step(bus, [alert], 2, cfg)
+        sent.append(res.outbound)
+        sent.append(bus_step(res.state, [], 3, cfg).outbound)
+        assert [[(m.kind.value, m.sender, m.receiver) for m in out] for out in sent] == [
+            [("INITIATE", "bus", "r0"), ("INITIATE", "bus", "r1")],
+            [
+                ("TAG_UPDATE", "bus", "r0"), ("SYNC_APPOINT", "bus", "r0"),
+                ("TAG_UPDATE", "bus", "r1"), ("SYNC_APPOINT", "bus", "r1"),
+            ],
+            [("CLOSE", "bus", "r0"), ("CLOSE", "bus", "r1")],
+        ]
 
     def test_fresh_codes_unique_across_rounds(self):
         bus = make_bus_state(0, 30, seed=3)
@@ -194,22 +220,22 @@ BUS_MESSAGE = st.tuples(
 )
 
 
-def bus_inbox(drawn, bus, now):
+def bus_inbox(drawn, bus):
     msgs = []
     for kind, sender, verdict, offset in drawn:
         if kind == "ack":
-            msgs.append(ProtocolMessage(MsgKind.INITIATE_ACK, sender, "bus", now))
+            msgs.append(ProtocolMessage(MsgKind.INITIATE_ACK, sender, "bus"))
         elif kind == "alert":
             payload = {"code_index": bus.displayed_code, "count": 2}
             msgs.append(
-                ProtocolMessage(MsgKind.CONFUSION_ALERT, sender, "bus", now, payload)
+                ProtocolMessage(MsgKind.CONFUSION_ALERT, sender, "bus", payload)
             )
         else:
             payload = {
                 "verdict": SyncVerdict(kind=verdict, count=VERDICT_COUNTS[verdict]),
                 "round": bus.round + offset,
             }
-            msgs.append(ProtocolMessage(MsgKind.SYNC_RESULT, sender, "bus", now, payload))
+            msgs.append(ProtocolMessage(MsgKind.SYNC_RESULT, sender, "bus", payload))
     return msgs
 
 
@@ -239,7 +265,7 @@ def test_one_phase_event_per_phase_change(family_size, max_rounds, leave_tick, s
     )
     bus = make_bus_state(0, family_size, seed=1)
     for now, drawn in enumerate(steps):
-        res = bus_step(bus, bus_inbox(drawn, bus, now), now, cfg)
+        res = bus_step(bus, bus_inbox(drawn, bus), now, cfg)
         logged = [BusPhase(d["phase"]) for name, d in res.events if name == "phase"]
         phases = [bus.phase] + logged
         assert all(a is not b for a, b in zip(phases, phases[1:]))
@@ -250,7 +276,7 @@ def test_one_phase_event_per_phase_change(family_size, max_rounds, leave_tick, s
 class TestRsu:
     def test_initiate_activates_and_acks(self):
         init = ProtocolMessage(
-            MsgKind.INITIATE, "bus", "r0", 0, {"client_code": 4}
+            MsgKind.INITIATE, "bus", "r0", {"client_code": 4}
         )
         res = rsu_step(RsuState(), [init], [], 1, "r0", "bus", no_report)
         assert res.state == RsuState(client_code=4)
@@ -279,7 +305,7 @@ class TestRsu:
 
     def test_close_goes_idle(self):
         st = RsuState(client_code=4)
-        close = ProtocolMessage(MsgKind.CLOSE, "bus", "r0", 9)
+        close = ProtocolMessage(MsgKind.CLOSE, "bus", "r0")
         res = rsu_step(st, [close], [fake_det(4)], 9, "r0", "bus", no_report)
         assert res.state == RsuState()
         kinds = [m.kind for m in res.outbound]
@@ -288,10 +314,10 @@ class TestRsu:
     def test_sync_appoint_before_update_arms_with_it(self):
         st = RsuState(client_code=4)
         appoint = ProtocolMessage(
-            MsgKind.SYNC_APPOINT, "bus", "r0", 3, {"t_act": 8, "round": 1}
+            MsgKind.SYNC_APPOINT, "bus", "r0", {"t_act": 8, "round": 1}
         )
         upd = ProtocolMessage(
-            MsgKind.TAG_UPDATE, "bus", "r0", 3, {"new_code": 7, "round": 1}
+            MsgKind.TAG_UPDATE, "bus", "r0", {"new_code": 7, "round": 1}
         )
         res = rsu_step(st, [appoint], [], 4, "r0", "bus", no_report)
         assert res.state.pending == (None, 1, 8)  # active, not armed
@@ -305,10 +331,10 @@ class TestRsu:
     def test_armed_rsu_evaluates_at_t_act(self):
         st = RsuState(client_code=4)
         upd = ProtocolMessage(
-            MsgKind.TAG_UPDATE, "bus", "r0", 3, {"new_code": 7, "round": 1}
+            MsgKind.TAG_UPDATE, "bus", "r0", {"new_code": 7, "round": 1}
         )
         appoint = ProtocolMessage(
-            MsgKind.SYNC_APPOINT, "bus", "r0", 3, {"t_act": 8, "round": 1}
+            MsgKind.SYNC_APPOINT, "bus", "r0", {"t_act": 8, "round": 1}
         )
         st = rsu_step(st, [upd, appoint], [], 3, "r0", "bus", no_report).state
         assert st.pending == (7, 1, 8)  # armed
@@ -396,7 +422,7 @@ RSU_TRANSITIONS = {
     ids=list(RSU_TRANSITIONS),
 )
 def test_rsu_transition(state, inbox, codes, now, after, kinds, names, result):
-    msgs = [ProtocolMessage(kind, "bus", "r0", now, payload) for kind, payload in inbox]
+    msgs = [ProtocolMessage(kind, "bus", "r0", payload) for kind, payload in inbox]
     frame = [fake_det(code, x=float(i)) for i, code in enumerate(codes)]
     res = rsu_step(state, msgs, frame, now, "r0", "bus", no_report)
     assert res.state == after
@@ -605,8 +631,8 @@ def test_driver_under_adversarial_schedules(fates, bystanders, latency, shown):
     posted = [(t, d) for t, name, d in events if name == "message"]
     assert all(sent == delivered + dropped + queued for sent, delivered, dropped, queued in counts)
     assert counts[-1][0] == len(posted)
-    assert counts[-1][2] == sum(d["dropped"] for _, d in posted)
-    assert all(d["dropped"] or d["deliver_at"] > t for t, d in posted)
+    assert counts[-1][2] == sum(d["deliver_at"] is None for _, d in posted)
+    assert all(d["deliver_at"] is None or d["deliver_at"] > t for t, d in posted)
 
     # attribution by position: the bus's tag is at x 0, the attacker's at x 2
     unique = [d["verdict"] for _, name, d in events
@@ -615,7 +641,7 @@ def test_driver_under_adversarial_schedules(fates, bystanders, latency, shown):
 
     # an active RSU that holds both halves of round r by its t_act, and no
     # half of a later round, judges round r at t_act, whichever came first
-    delivered = [(d["deliver_at"], d["msg"]) for _, d in posted if not d["dropped"]]
+    delivered = [(d["deliver_at"], d["msg"]) for _, d in posted if d["deliver_at"] is not None]
     judged = {(d["rsu"], t) for t, name, d in events if name == "sync_evaluated"}
     halves = (MsgKind.TAG_UPDATE, MsgKind.SYNC_APPOINT)
     for _, name, c in events:

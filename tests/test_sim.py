@@ -63,7 +63,8 @@ class TestTrajectory:
 
 
 def msg(tag=0) -> ProtocolMessage:
-    return ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus", tag)
+    """A message told apart from others by its tag."""
+    return ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus", {"tag": tag})
 
 
 class TestChannel:
@@ -81,8 +82,8 @@ class TestChannel:
 
     def test_fifo_within_tick(self):
         ch = Channel(latency=2, drop=0.0, seed=0)
-        a = ProtocolMessage(MsgKind.CLOSE, "bus", "r0", 0)
-        b = ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus", 0)
+        a = ProtocolMessage(MsgKind.CLOSE, "bus", "r0")
+        b = ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus")
         ch.send(a, 0)
         ch.send(b, 0)
         assert [m.kind for m in ch.deliver(2)] == [MsgKind.CLOSE, MsgKind.INITIATE_ACK]
@@ -220,7 +221,7 @@ class TestScenarioConfig:
         blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
         target = blob[section] if section else blob
         (target[0] if section == "attackers" else target)[key] = value
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=key):  # the error names the setting
             ScenarioConfig.from_json_dict(blob)
 
     @pytest.mark.parametrize(

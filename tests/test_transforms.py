@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vttag.transforms import RigidTransform, look_at, planar_to_world, wrap_angle
+from vttag.transforms import RigidTransform, planar_to_world, wrap_angle
 
 
 def rot_z(a):
@@ -66,32 +66,12 @@ class TestRigidTransform:
             t.rotation[0, 0] = 2.0
 
 
-class TestLookAt:
-    def test_optical_axis_hits_target(self):
-        pose = look_at(eye=(1.0, 2.0, 8.0), target=(3.0, -1.0, 0.0))
-        target_cam = pose.inverse().apply(np.array([3.0, -1.0, 0.0]))
-        # target on the +z axis of the camera
-        assert target_cam[2] > 0
-        assert np.allclose(target_cam[:2], 0.0, atol=1e-12)
-
-    def test_world_up_maps_to_negative_y(self):
-        pose = look_at(eye=(0.0, -5.0, 2.0), target=(0.0, 0.0, 2.0))
-        up_cam = pose.rotation.T @ np.array([0.0, 0.0, 1.0])
-        assert up_cam[1] < 0  # y is down in the camera frame
-
-    def test_degenerate_inputs(self):
-        with pytest.raises(ValueError):
-            look_at(eye=(0, 0, 0), target=(0, 0, 0))
-        with pytest.raises(ValueError):
-            look_at(eye=(0, 0, 0), target=(0, 0, 5), up=(0, 0, 1))
-
-
 class TestPlanarToWorld:
     def test_forward_axis_is_yaw(self):
-        t = planar_to_world(1.0, 2.0, 0.7, z=3.0)
+        t = planar_to_world(1.0, 2.0, 0.7)
         fwd = t.rotation[:, 0]
         assert np.allclose(fwd, [np.cos(0.7), np.sin(0.7), 0.0])
-        assert np.allclose(t.translation, [1.0, 2.0, 3.0])
+        assert np.allclose(t.translation, [1.0, 2.0, 0.0])
 
     def test_rotation_valid(self):
         planar_to_world(0, 0, 2.5).validate()
