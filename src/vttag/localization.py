@@ -100,12 +100,14 @@ def vehicle_pose_from_detection(
 ) -> PlanarPose:
     """Planar vehicle pose implied by a single detection.
 
-    `mount` is the tag-to-vehicle transform of the roof tag. Chains
-    tag->camera (from the detection), camera->world, and the inverted
-    mount into vehicle->world, then projects onto the ground plane: (x, y)
-    from the translation, yaw from the world-xy image of the vehicle
-    x axis. Raises DegenerateProjection when that axis is within 5 degrees
-    of vertical.
+    `mount` is the tag-to-vehicle transform of the roof tag. Yaw is the
+    world-xy image of the vehicle x axis, from the chain tag->camera (the
+    detection), camera->world and the inverted mount; raises
+    DegenerateProjection when that axis is within 5 degrees of vertical.
+    (x, y) is the tag centre's world position less the mount's planar
+    offset turned by the yaw: a small tag's tilt is poorly conditioned,
+    and the mount's lever arm would carry its error into the position,
+    while the tag's translation is well conditioned.
     """
     vehicle_to_world = camera.pose @ det.pose @ mount.inverse()
     fwd = vehicle_to_world.rotation[:, 0]
@@ -116,8 +118,10 @@ def vehicle_pose_from_detection(
             f"{_MIN_FORWARD_TILT_DEG} degrees of vertical"
         )
     yaw = float(np.arctan2(fwd[1], fwd[0]))
-    t = vehicle_to_world.translation
-    return PlanarPose(float(t[0]), float(t[1]), yaw)
+    tag = camera.pose.apply(det.pose.translation)
+    c, s = np.cos(yaw), np.sin(yaw)
+    mx, my = mount.translation[:2]
+    return PlanarPose(float(tag[0] - c * mx + s * my), float(tag[1] - s * mx - c * my), yaw)
 
 
 def fuse_poses(estimates: Sequence[PoseEstimate]) -> FusedPose:
