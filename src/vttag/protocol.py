@@ -55,7 +55,6 @@ __all__ = [
 
 class MsgKind(enum.Enum):
     INITIATE = "INITIATE"
-    INITIATE_ACK = "INITIATE_ACK"
     POSE_REPORT = "POSE_REPORT"
     CONFUSION_ALERT = "CONFUSION_ALERT"
     TAG_UPDATE = "TAG_UPDATE"
@@ -67,7 +66,6 @@ class MsgKind(enum.Enum):
 # Required payload keys per message kind (tagged-union discipline).
 _PAYLOAD_FIELDS = {
     MsgKind.INITIATE: {"client_code"},
-    MsgKind.INITIATE_ACK: set(),
     MsgKind.POSE_REPORT: {"estimate", "code_index"},
     MsgKind.CONFUSION_ALERT: {"code_index", "count"},
     MsgKind.TAG_UPDATE: {"new_code", "round"},
@@ -127,7 +125,6 @@ class ProtocolConfig:
 
 class BusPhase(enum.Enum):
     IDLE = "IDLE"
-    APPROACHING = "APPROACHING"
     LOCALIZING = "LOCALIZING"
     SYNC_WAIT = "SYNC_WAIT"
     FAILED = "FAILED"
@@ -148,8 +145,9 @@ class BusState:
     round: int = 0
     pending_display: Optional[tuple] = None  # (code, apply_at tick)
     code_pool: tuple = ()
-    pending_acks: tuple = ()
-    resolved_tick: Optional[int] = None  # first tick a challenge resolved
+    verdicts: tuple = ()  # the current round's (rsu, verdict kind) results
+    deadline: Optional[int] = None  # the tick the current round is judged by
+    resolved_tick: Optional[int] = None  # tick a challenge resolved
 
 
 @dataclass(frozen=True)
@@ -311,7 +309,8 @@ def _challenge(
     )
     events.append(("challenge", {"round": rnd, "new_code": new_code, "t_act": t_act}))
     nxt = replace(
-        state, round=rnd, pending_display=(new_code, t_act), code_pool=state.code_pool[1:]
+        state, round=rnd, pending_display=(new_code, t_act), code_pool=state.code_pool[1:],
+        verdicts=(), deadline=t_act + config.delta_sync,
     )
     return _enter(nxt, BusPhase.SYNC_WAIT, events), out
 
@@ -324,9 +323,13 @@ def bus_step(
 ) -> StepResult:
     """One tick of the bus state machine.
 
-    Enter/leave triggers derive from config ticks. The POSE_REPORTs of
-    the newest capture tick in the inbox are fused into one "fused_pose"
-    event.
+    Enter/leave triggers derive from config ticks. From enter_tick until a
+    round resolves, INITIATE goes out every delta_sync ticks, so an RSU
+    that missed it is activated later. A round's SYNC_RESULTs are judged
+    together, once every RSU has reported or at the round's deadline:
+    some unique and no ambiguous verdict resolves it; anything else starts
+    the next round, or fails after max_rounds. The POSE_REPORTs of the
+    newest capture tick in the inbox are fused into one "fused_pose" event.
     """
     events: list = []
     out: list = []
@@ -338,17 +341,18 @@ def bus_step(
         events.append(("display_switched", {"code": st.displayed_code}))
 
     if st.phase is BusPhase.IDLE and now == config.enter_tick:
+        st = _enter(st, BusPhase.LOCALIZING, events)
+    if (
+        st.phase in (BusPhase.LOCALIZING, BusPhase.SYNC_WAIT)
+        and st.resolved_tick is None
+        and now < config.leave_tick
+        and (now - config.enter_tick) % config.delta_sync == 0
+    ):
         out += _to_rsus(config, (MsgKind.INITIATE, {"client_code": st.displayed_code}))
-        st = _enter(replace(st, pending_acks=config.rsu_ids), BusPhase.APPROACHING, events)
 
     reports: list = []
     for msg in inbox:
-        if msg.kind is MsgKind.INITIATE_ACK and st.phase is BusPhase.APPROACHING:
-            pending = tuple(r for r in st.pending_acks if r != msg.sender)
-            st = replace(st, pending_acks=pending)
-            if not pending:
-                st = _enter(st, BusPhase.LOCALIZING, events)
-        elif msg.kind is MsgKind.POSE_REPORT:
+        if msg.kind is MsgKind.POSE_REPORT:
             if st.phase in (BusPhase.LOCALIZING, BusPhase.SYNC_WAIT):
                 reports.append(msg.payload["estimate"])
         elif msg.kind is MsgKind.CONFUSION_ALERT:
@@ -377,24 +381,27 @@ def bus_step(
                         },
                     )
                 )
-                continue
-            if st.phase is not BusPhase.SYNC_WAIT:
-                continue
-            kind = msg.payload["verdict"].kind
-            if kind == "unique":
-                if st.resolved_tick is None:
-                    st = replace(st, resolved_tick=now)
-                st = _enter(st, BusPhase.LOCALIZING, events)
-                events.append(("sync_resolved", {"round": msg.payload["round"]}))
-            else:  # ambiguous or absent: retry or give up
-                events.append(
-                    ("sync_unresolved", {"round": msg.payload["round"], "kind": kind})
-                )
-                if st.round < config.max_rounds:
-                    st, more_out = _challenge(st, now, config, events)
-                    out.extend(more_out)
-                else:
-                    st = _enter(st, BusPhase.FAILED, events)
+            elif st.phase is BusPhase.SYNC_WAIT:
+                verdict = (msg.sender, msg.payload["verdict"].kind)
+                st = replace(st, verdicts=st.verdicts + (verdict,))
+
+    if st.phase is BusPhase.SYNC_WAIT and (
+        now >= st.deadline or {rsu for rsu, _ in st.verdicts} >= set(config.rsu_ids)
+    ):
+        # "absent" from an RSU that does not see the bus is no evidence
+        kinds = {kind for _, kind in st.verdicts}
+        if "unique" in kinds and "ambiguous" not in kinds:
+            st = _enter(replace(st, resolved_tick=now), BusPhase.LOCALIZING, events)
+            events.append(("sync_resolved", {"round": st.round}))
+        else:  # an RSU that did not report by the deadline is not in verdicts
+            events.append(
+                ("sync_unresolved", {"round": st.round, "verdicts": dict(st.verdicts)})
+            )
+            if st.round < config.max_rounds:
+                st, more_out = _challenge(st, now, config, events)
+                out.extend(more_out)
+            else:
+                st = _enter(st, BusPhase.FAILED, events)
 
     if reports:
         # fuse the newest capture-tick's worth of reports into one pose
@@ -449,9 +456,9 @@ def rsu_step(
 
     for msg in inbox:
         if msg.kind is MsgKind.INITIATE:
-            st = RsuState(client_code=int(msg.payload["client_code"]))
-            to_bus(MsgKind.INITIATE_ACK)
-            events.append(("rsu_active", {}))
+            if st.client_code is None:  # a tracking RSU ignores a repeat
+                st = RsuState(client_code=int(msg.payload["client_code"]))
+                events.append(("rsu_active", {}))
         elif msg.kind is MsgKind.CLOSE:
             st = RsuState()
             events.append(("rsu_idle", {}))

@@ -276,7 +276,8 @@ class Channel:
     """Latent, lossy, per-link-FIFO message transport.
 
     Drops are decided at send time from a dedicated counter-based stream,
-    so delivery is independent of processing order. Counters satisfy
+    so delivery is independent of processing order. queue holds the
+    messages in flight, and the counters satisfy
     sent == delivered + dropped + len(queue) at all times.
     """
 
@@ -286,7 +287,7 @@ class Channel:
         self._gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence([seed, 0x5E7D]))
         )
-        self._queue: list = []  # (deliver_at, message), in send order
+        self.queue: list = []  # (deliver_at, message), in send order
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -298,13 +299,13 @@ class Channel:
             self.dropped += 1
             return None
         deliver_at = now + self.latency
-        self._queue.append((deliver_at, msg))
+        self.queue.append((deliver_at, msg))
         return deliver_at
 
     def deliver(self, now: int) -> list:
         """Messages due exactly now, in send order."""
-        due = [m for at, m in self._queue if at == now]
-        self._queue = [(at, m) for at, m in self._queue if at != now]
+        due = [m for at, m in self.queue if at == now]
+        self.queue = [(at, m) for at, m in self.queue if at != now]
         self.delivered += len(due)
         return due
 
@@ -373,16 +374,15 @@ def compute_metrics(events, truth, config: ScenarioConfig) -> dict:
         yaw_errors.append(abs(wrap_angle(est["yaw"] - gt["yaw"])))
 
     n_alerts = sum(1 for ev in events if ev["event"] == "confusion_alert")
-    resolved = [ev for ev in events if ev["event"] == "sync_resolved"]
     failed = any(
         ev["event"] == "phase" and ev.get("phase") == "FAILED" for ev in events
     )
     accepted = any(
         ev["event"] == "sync_attribution" and ev["entity"] != config.bus.id for ev in events
     )
-    rounds = resolved[0]["round"] if resolved else max(
-        (ev["round"] for ev in events if ev["event"] == "challenge"), default=0
-    )
+    # a resolved bus never challenges again, so this is also the round it
+    # resolved in
+    rounds = max((ev["round"] for ev in events if ev["event"] == "challenge"), default=0)
 
     active = range(config.bus.enter_tick, config.bus.leave_tick)
     metrics: dict = {
@@ -390,7 +390,6 @@ def compute_metrics(events, truth, config: ScenarioConfig) -> dict:
         "n_fused": len(pos_errors),
         "confusion_alerts": n_alerts,
         "challenge_rounds": rounds,
-        "resolved_tick": resolved[0]["tick"] if resolved else None,
         "failed": failed,
         "attacker_accepted": accepted,
     }
@@ -423,7 +422,8 @@ class Session:
 
     rsus maps each RSU id to its state, in the order the RSUs step;
     attackers maps each attacker id to its state. channel is anything with
-    Channel's send and deliver. step_session advances a session in place.
+    Channel's send, deliver and queue (the messages in flight, as
+    (deliver_at, message) pairs). step_session advances a session in place.
     """
 
     config: ProtocolConfig
@@ -583,7 +583,7 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
     metrics["messages_sent"] = channel.sent
     metrics["messages_delivered"] = channel.delivered
     metrics["messages_dropped"] = channel.dropped
-    metrics["messages_in_flight"] = len(channel._queue)
+    metrics["messages_in_flight"] = len(channel.queue)
     metrics["final_bus_phase"] = session.bus.phase.value
     metrics["bus_resolved_tick"] = session.bus.resolved_tick
 

@@ -117,18 +117,10 @@ class TestBusBasics:
         res = bus_step(bus, [], now=0, config=CFG)
         kinds = [m.kind for m in res.outbound]
         assert kinds == [MsgKind.INITIATE]
-        assert res.state.phase is BusPhase.APPROACHING
-
-    def test_all_acks_start_localizing(self):
-        bus = bus_step(make_bus_state(0, 30, seed=1), [], 0, CFG).state
-        ack = ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus")
-        st = bus_step(bus, [ack], 1, CFG).state
-        assert st.phase is BusPhase.LOCALIZING
+        assert res.state.phase is BusPhase.LOCALIZING
 
     def test_confusion_triggers_challenge(self):
         bus = bus_step(make_bus_state(0, 30, seed=1), [], 0, CFG).state
-        ack = ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus")
-        bus = bus_step(bus, [ack], 1, CFG).state
         alert = ProtocolMessage(
             MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 0, "count": 2}
         )
@@ -149,8 +141,6 @@ class TestBusBasics:
 
     def test_stale_sync_result_ignored(self):
         bus = bus_step(make_bus_state(0, 30, seed=1), [], 0, CFG).state
-        ack = ProtocolMessage(MsgKind.INITIATE_ACK, "r0", "bus")
-        bus = bus_step(bus, [ack], 1, CFG).state
         alert = ProtocolMessage(
             MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 0, "count": 2}
         )
@@ -171,6 +161,20 @@ class TestBusBasics:
         assert [m.kind for m in res.outbound] == [MsgKind.CLOSE]
         assert res.state.phase is BusPhase.LEAVING
 
+    def test_initiate_repeats_until_a_round_resolves(self):
+        # an RSU that missed INITIATE gets it again every delta_sync ticks
+        bus, sent = make_bus_state(0, 30, seed=1), []
+        alert = ProtocolMessage(
+            MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 0, "count": 2}
+        )
+        inboxes = {7: [alert], 13: [result("r0", "unique")]}
+        for now in range(25):
+            res = bus_step(bus, inboxes.get(now, []), now, CFG)
+            sent += [now for m in res.outbound if m.kind is MsgKind.INITIATE]
+            bus = res.state
+        assert bus.resolved_tick == 13
+        assert sent == [0, 5, 10]
+
     def test_sends_rsu_by_rsu(self):
         # the lossy Channel draws drops in send order, so each tick's order
         # fixes which messages a drop stream takes: every RSU gets all its
@@ -179,12 +183,10 @@ class TestBusBasics:
         sent = []
         res = bus_step(make_bus_state(0, 30, seed=1), [], 0, cfg)
         sent.append(res.outbound)
-        acks = [ProtocolMessage(MsgKind.INITIATE_ACK, rsu, "bus") for rsu in cfg.rsu_ids]
-        bus = bus_step(res.state, acks, 1, cfg).state
         alert = ProtocolMessage(
             MsgKind.CONFUSION_ALERT, "r1", "bus", {"code_index": 0, "count": 2}
         )
-        res = bus_step(bus, [alert], 2, cfg)
+        res = bus_step(res.state, [alert], 2, cfg)
         sent.append(res.outbound)
         sent.append(bus_step(res.state, [], 3, cfg).outbound)
         assert [[(m.kind.value, m.sender, m.receiver) for m in out] for out in sent] == [
@@ -213,7 +215,7 @@ VERDICT_COUNTS = {"unique": 1, "ambiguous": 2, "absent": 0}
 # (kind, sender, verdict kind, round offset); a result's round is the bus's
 # current round plus the offset, so offsets other than 0 are stale
 BUS_MESSAGE = st.tuples(
-    st.sampled_from(["ack", "alert", "result"]),
+    st.sampled_from(["alert", "result"]),
     st.sampled_from(["r0", "r1"]),
     st.sampled_from(sorted(VERDICT_COUNTS)),
     st.integers(-1, 1),
@@ -223,9 +225,7 @@ BUS_MESSAGE = st.tuples(
 def bus_inbox(drawn, bus):
     msgs = []
     for kind, sender, verdict, offset in drawn:
-        if kind == "ack":
-            msgs.append(ProtocolMessage(MsgKind.INITIATE_ACK, sender, "bus"))
-        elif kind == "alert":
+        if kind == "alert":
             payload = {"code_index": bus.displayed_code, "count": 2}
             msgs.append(
                 ProtocolMessage(MsgKind.CONFUSION_ALERT, sender, "bus", payload)
@@ -252,9 +252,8 @@ def bus_inbox(drawn, bus):
     leave_tick=12,
     steps=[
         [],
-        [("ack", "r0", "unique", 0), ("ack", "r1", "unique", 0)],
         [("alert", "r0", "unique", 0)],
-        [("result", "r0", "ambiguous", 0)],
+        [("result", "r0", "ambiguous", 0), ("result", "r1", "absent", 0)],
     ],
 )
 @settings(max_examples=300, deadline=None)
@@ -273,14 +272,71 @@ def test_one_phase_event_per_phase_change(family_size, max_rounds, leave_tick, s
         bus = res.state
 
 
+def result(sender, kind, rnd=1) -> ProtocolMessage:
+    payload = {"verdict": SyncVerdict(kind=kind, count=VERDICT_COUNTS[kind]), "round": rnd}
+    return ProtocolMessage(MsgKind.SYNC_RESULT, sender, "bus", payload)
+
+
+# round 1 of a two-RSU bus is challenged at tick 2 (t_act 7, deadline 12);
+# then (tick, SYNC_RESULTs) steps -> the bus's phase and round, and its
+# (tick, event, detail) judgements
+FOLD_CASES = {
+    "absent_then_unique": (
+        [(8, [result("r0", "absent"), result("r1", "unique")])],
+        "LOCALIZING", 1, [(8, "sync_resolved", {"round": 1})],
+    ),
+    "unique_then_absent": (
+        [(8, [result("r0", "unique")]), (9, [result("r1", "absent")])],
+        "LOCALIZING", 1, [(9, "sync_resolved", {"round": 1})],
+    ),
+    "unique_and_ambiguous": (
+        [(8, [result("r1", "unique"), result("r0", "ambiguous")])],
+        "SYNC_WAIT", 2,
+        [(8, "sync_unresolved", {"round": 1, "verdicts": {"r1": "unique", "r0": "ambiguous"}})],
+    ),
+    "unique_and_silence_by_deadline": (
+        [(8, [result("r0", "unique")]), (11, []), (12, [])],
+        "LOCALIZING", 1, [(12, "sync_resolved", {"round": 1})],
+    ),
+    "no_verdict_by_deadline": (
+        [(11, []), (12, [])],
+        "SYNC_WAIT", 2, [(12, "sync_unresolved", {"round": 1, "verdicts": {}})],
+    ),
+    "stale_round": (
+        [(8, [result("r0", "unique", rnd=0)])],
+        "SYNC_WAIT", 1,
+        [(8, "stale_message", {"kind": "SYNC_RESULT", "round": 0, "expected": 1})],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "steps, phase, rnd, judged", list(FOLD_CASES.values()), ids=list(FOLD_CASES)
+)
+def test_bus_judges_each_round_once(steps, phase, rnd, judged):
+    cfg = replace(CFG, rsu_ids=("r0", "r1"))
+    bus = bus_step(make_bus_state(0, 30, seed=1), [], 0, cfg).state
+    alert = ProtocolMessage(MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 0, "count": 2})
+    bus = bus_step(bus, [alert], 2, cfg).state
+    assert (bus.round, bus.deadline) == (1, 12)
+    logged = []
+    for now, inbox in steps:
+        res = bus_step(bus, inbox, now, cfg)
+        names = ("sync_resolved", "sync_unresolved", "stale_message")
+        logged += [(now, name, d) for name, d in res.events if name in names]
+        bus = res.state
+    assert (bus.phase.value, bus.round) == (phase, rnd)
+    assert logged == judged
+
+
 class TestRsu:
-    def test_initiate_activates_and_acks(self):
+    def test_initiate_activates(self):
         init = ProtocolMessage(
             MsgKind.INITIATE, "bus", "r0", {"client_code": 4}
         )
         res = rsu_step(RsuState(), [init], [], 1, "r0", "bus", no_report)
         assert res.state == RsuState(client_code=4)
-        assert [m.kind for m in res.outbound] == [MsgKind.INITIATE_ACK]
+        assert res.outbound == ()
 
     def test_active_reports_matching_detection(self):
         st = RsuState(client_code=4)
@@ -362,11 +418,10 @@ CLOSE = (MsgKind.CLOSE, {})
 RSU_TRANSITIONS = {
     "initiate": (
         IDLE, [(MsgKind.INITIATE, {"client_code": 4})], [], 1,
-        ACTIVE, ["INITIATE_ACK"], ["rsu_active"], None,
+        ACTIVE, [], ["rsu_active"], None,
     ),
     "initiate_while_armed": (
-        ARMED, [(MsgKind.INITIATE, {"client_code": 5})], [], 5,
-        RsuState(client_code=5), ["INITIATE_ACK"], ["rsu_active"], None,
+        ARMED, [(MsgKind.INITIATE, {"client_code": 5})], [], 5, ARMED, [], [], None,
     ),
     "update_while_idle": (IDLE, [UPDATE_1], [], 3, IDLE, [], [], None),
     "appoint_while_idle": (IDLE, [APPOINT_1], [], 3, IDLE, [], [], None),
@@ -443,17 +498,21 @@ def tracking_frame(bus_code, attacker_code) -> list:
     return [fake_det(bus_code, x=0.0), fake_det(attacker_code, x=2.0)]
 
 
-def run_session(latency: int, max_ticks: int = 60):
-    """One RSU and one FOLLOWER on the shared driver, network latency 1."""
+def run_session(latency: int, max_ticks: int = 60, rsu_ids=("r0",)):
+    """The tracking RSU "r0", bystanders that see nothing, and one FOLLOWER
+    on the shared driver, network latency 1."""
     s = Session(
-        config=CFG, bus=make_bus_state(2, 30, seed=9), rsus={"r0": RsuState()},
+        config=replace(CFG, rsu_ids=rsu_ids), bus=make_bus_state(2, 30, seed=9),
+        rsus={rid: RsuState() for rid in rsu_ids},
         attackers={"atk": AttackerState(AttackerStrategy.FOLLOWER, 2, latency)},
         channel=Channel(latency=1, drop=0.0, seed=0),
     )
     events = []
 
     def see(t, bus_code, attacker_codes):
-        return {"r0": tracking_frame(bus_code, attacker_codes["atk"])}
+        frames = {rid: [] for rid in rsu_ids}
+        frames["r0"] = tracking_frame(bus_code, attacker_codes["atk"])
+        return frames
 
     for t in range(max_ticks):
         step_session(s, t, see, lambda *ev: events.append(ev), no_report)
@@ -489,6 +548,18 @@ class TestEndToEndWalks:
         assert bus.resolved_tick is not None
         assert bus.round == 1
         assert bus.phase is not BusPhase.FAILED
+
+    @pytest.mark.parametrize("latency", [1, 2, 5])
+    def test_bystander_listed_first_changes_nothing(self, latency):
+        # the bystander's "absent" reaches the bus first, and is no evidence
+        alone = run_session(latency)[0]
+        bus, events = run_session(latency, rsu_ids=("b0", "r0"))
+        assert bus.round == 1 and bus.resolved_tick == alone.resolved_tick
+        judged = [(n, d) for t, n, d in events if n.startswith("sync_")]
+        assert [(n, d.get("rsu"), d.get("verdict", {}).get("kind")) for n, d in judged] == [
+            ("sync_evaluated", "b0", "absent"), ("sync_evaluated", "r0", "unique"),
+            ("sync_resolved", None, None),
+        ]
 
     def test_driver_stamps_tick_and_agent(self):
         # a bystander listed first sees nothing, so each of its verdicts
@@ -618,7 +689,10 @@ def run_schedule(fates, bystanders, latency, shown):
 )
 # the first TAG_UPDATE takes 2 ticks and its SYNC_APPOINT 1, so the
 # appointment reaches r0 first
-@example(fates=[1, 1, 1, 1, 2], bystanders=[], latency=2, shown={})
+@example(fates=[1, 1, 1, 2], bystanders=[], latency=2, shown={})
+# b0's first INITIATE is dropped, so round 1's halves reach it while idle
+# and are ignored; the repeat INITIATE, sent at tick 5, activates it
+@example(fates=[None], bystanders=[0], latency=0, shown={})
 @settings(max_examples=400, deadline=None)
 def test_driver_under_adversarial_schedules(fates, bystanders, latency, shown):
     s, events, counts = run_schedule(fates, bystanders, latency, shown)
@@ -639,21 +713,38 @@ def test_driver_under_adversarial_schedules(fates, bystanders, latency, shown):
               if name == "sync_evaluated" and d["verdict"]["kind"] == "unique"]
     assert all(v["tag_xyz"][0] == 0.0 for v in unique)
 
-    # an active RSU that holds both halves of round r by its t_act, and no
-    # half of a later round, judges round r at t_act, whichever came first
-    delivered = [(d["deliver_at"], d["msg"]) for _, d in posted if d["deliver_at"] is not None]
+    # the bus judges every round by its deadline, t_act + delta_sync, if
+    # the deadline comes before the leave tick
+    rounds_judged = [(d["round"], t) for t, name, d in events
+                     if name in ("sync_resolved", "sync_unresolved")]
+    for _, name, c in events:
+        deadline = c.get("t_act", 0) + s.config.delta_sync
+        if name == "challenge" and deadline < s.config.leave_tick:
+            assert any(r == c["round"] and t <= deadline for r, t in rounds_judged)
+
+    # an RSU that read an INITIATE before either half of round r, holds
+    # both halves by its t_act and no half of a later round, judges round r
+    # at t_act, whichever half came first; a half that reaches an idle RSU
+    # is ignored. Messages due in one tick are read in send order.
+    delivered = sorted(
+        (d["deliver_at"], i, d["msg"]) for i, (_, d) in enumerate(posted)
+        if d["deliver_at"] is not None
+    )
     judged = {(d["rsu"], t) for t, name, d in events if name == "sync_evaluated"}
     halves = (MsgKind.TAG_UPDATE, MsgKind.SYNC_APPOINT)
     for _, name, c in events:
         if name != "challenge" or c["t_act"] >= SCHEDULE_TICKS:
             continue
         for rid in s.rsus:
-            got = [m for at, m in delivered if m.receiver == rid and at <= c["t_act"]]
-            kinds = {m.kind for m in got}
+            got = [m for at, _, m in delivered if m.receiver == rid and at <= c["t_act"]]
+            first_half = next(
+                (i for i, m in enumerate(got) if m.kind in halves and m.payload["round"] == c["round"]),
+                len(got),
+            )
             held = {(m.kind, m.payload["round"]) for m in got if m.kind in halves}
             if (
-                MsgKind.INITIATE in kinds
-                and MsgKind.CLOSE not in kinds
+                any(m.kind is MsgKind.INITIATE for m in got[:first_half])
+                and all(m.kind is not MsgKind.CLOSE for m in got)
                 and {(k, c["round"]) for k in halves} <= held
                 and all(r <= c["round"] for _, r in held)
             ):
