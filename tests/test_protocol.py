@@ -319,10 +319,9 @@ def test_bus_judges_each_round_once(steps, phase, rnd, judged):
     alert = ProtocolMessage(MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 0, "count": 2})
     bus = bus_step(bus, [alert], 2, cfg).state
     assert (bus.round, bus.deadline) == (1, 12)
-    logged = []
+    logged, names = [], ("sync_resolved", "sync_unresolved", "stale_message")
     for now, inbox in steps:
         res = bus_step(bus, inbox, now, cfg)
-        names = ("sync_resolved", "sync_unresolved", "stale_message")
         logged += [(now, name, d) for name, d in res.events if name in names]
         bus = res.state
     assert (bus.phase.value, bus.round) == (phase, rnd)
@@ -717,9 +716,9 @@ def test_driver_under_adversarial_schedules(fates, bystanders, latency, shown):
     # the deadline comes before the leave tick
     rounds_judged = [(d["round"], t) for t, name, d in events
                      if name in ("sync_resolved", "sync_unresolved")]
-    for _, name, c in events:
-        deadline = c.get("t_act", 0) + s.config.delta_sync
-        if name == "challenge" and deadline < s.config.leave_tick:
+    for c in [d for _, name, d in events if name == "challenge"]:
+        deadline = c["t_act"] + s.config.delta_sync
+        if deadline < s.config.leave_tick:
             assert any(r == c["round"] and t <= deadline for r, t in rounds_judged)
 
     # an RSU that read an INITIATE before either half of round r, holds
@@ -737,6 +736,7 @@ def test_driver_under_adversarial_schedules(fates, bystanders, latency, shown):
             continue
         for rid in s.rsus:
             got = [m for at, _, m in delivered if m.receiver == rid and at <= c["t_act"]]
+            kinds = {m.kind for m in got}
             first_half = next(
                 (i for i, m in enumerate(got) if m.kind in halves and m.payload["round"] == c["round"]),
                 len(got),
@@ -744,7 +744,7 @@ def test_driver_under_adversarial_schedules(fates, bystanders, latency, shown):
             held = {(m.kind, m.payload["round"]) for m in got if m.kind in halves}
             if (
                 any(m.kind is MsgKind.INITIATE for m in got[:first_half])
-                and all(m.kind is not MsgKind.CLOSE for m in got)
+                and MsgKind.CLOSE not in kinds
                 and {(k, c["round"]) for k in halves} <= held
                 and all(r <= c["round"] for _, r in held)
             ):
