@@ -11,12 +11,16 @@ frames, and the protocol tests supply abstract ones. A camera's sensor
 noise depends on nothing in the scene, so with noise on, each camera's
 field for tick t + 1 is drawn on one worker thread while tick t is
 detected and stepped; frames are the same to the bit.
+
+Each family keeps the detections of its last FRAME_MEMO_SIZE frames, so
+sessions that share a scenario seed render and detect a frame once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -216,6 +220,10 @@ class ScenarioConfig:
 
     @property
     def family(self) -> TagFamily:
+        return self._family_entry[0]
+
+    @property
+    def _family_entry(self) -> tuple:
         return _family_for(self.family_n, self.family_d_min, self.family_count, self.family_seed)
 
     @classmethod
@@ -410,10 +418,19 @@ def _jsonable_event(tick: int, name: str, detail: dict) -> dict:
     return out
 
 
+# clone_sweep repeats frames 40-80 back, lossy_multi_rsu up to 4 sessions x 80
+FRAME_MEMO_SIZE = 256
+
+
 @lru_cache(maxsize=8)
-def _family_for(n: int, d_min: int, count: int, seed: int) -> TagFamily:
-    # generation is deterministic, so sharing across runs changes nothing
-    return generate_family(n, d_min, count, seed=seed)
+def _family_for(n: int, d_min: int, count: int, seed: int) -> tuple:
+    # generation is deterministic, so sharing across runs changes nothing;
+    # the memo of frames detected against the family, oldest first, goes with it
+    return generate_family(n, d_min, count, seed=seed), OrderedDict()
+
+
+def _pose_key(pose: RigidTransform) -> tuple:
+    return pose.rotation.tobytes(), pose.translation.tobytes()
 
 
 @dataclass
@@ -480,7 +497,7 @@ def step_session(s: Session, t: int, see, log, estimate) -> tuple:
 
 def run_scenario(config: ScenarioConfig) -> SimReport:
     """Run the full tick loop; deterministic given the config."""
-    family = config.family
+    family, memo = config._family_entry
 
     session = Session(
         config=ProtocolConfig(
@@ -522,16 +539,21 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
     if config.noise_sigma > 0:
         noise_buffers = [np.empty((r.camera.height, r.camera.width)) for r in config.rsus]
         noise_pool = ThreadPoolExecutor(max_workers=1)
-    next_noise = {}  # RSU index -> future of its field for the coming tick
+    next_noise = {}  # RSU index -> (seed, future of its field) for the coming tick
 
     def draw_noise(ri, t):
         if noise_pool is None or t == config.ticks:
             return
-        render_seed = int(
-            np.random.SeedSequence([config.seed, 0xCA13, ri, t]).generate_state(1)[0]
-        )
+        seed = int(np.random.SeedSequence([config.seed, 0xCA13, ri, t]).generate_state(1)[0])
         buf = noise_buffers[ri]
-        next_noise[ri] = noise_pool.submit(frame_noise, render_seed, *buf.shape, out=buf)
+        next_noise[ri] = seed, noise_pool.submit(frame_noise, seed, *buf.shape, out=buf)
+
+    # what a frame's detections depend on besides its tags and noise seed
+    views = {
+        rid: (c.fx, c.fy, c.cx, c.cy, c.width, c.height, _pose_key(c.pose),
+              config.noise_sigma, config.bus.tag_size)
+        for rid, c in cameras.items()
+    }
 
     def see(t, bus_code, attacker_codes):
         codes = {config.bus.id: bus_code, **attacker_codes}
@@ -541,18 +563,29 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
             world = planar_to_world(planar.x, planar.y, planar.yaw) @ spec.mount
             placed.append(PlacedTag(index=codes[spec.id], tag_size=spec.tag_size, pose=world))
             placed_at[spec.id] = planar, world.translation
+        tags = tuple((p.index, p.tag_size, _pose_key(p.pose)) for p in placed)
         frames = {}
         for ri, rsu in enumerate(config.rsus):
-            img = render_scene(
-                rsu.camera,
-                placed,
-                family,
-                noise_sigma=config.noise_sigma,
-                noise=next_noise[ri].result() if noise_pool is not None else None,
-            )
-            # the frame is a copy, so the buffer is free for the next draw
+            seed, noise = next_noise.get(ri, (None, None))
+            key = (views[rsu.id], tags, seed)
+            dets = memo.pop(key, None)
+            if dets is None:
+                img = render_scene(
+                    rsu.camera,
+                    placed,
+                    family,
+                    noise_sigma=config.noise_sigma,
+                    noise=None if noise is None else noise.result(),
+                )
+            # the frame is a copy, so the buffer is free for the next draw; a
+            # hit leaves this tick's field unread, and the one worker draws in order
             draw_noise(ri, t + 1)
-            frames[rsu.id] = detect(img, rsu.camera, family, config.bus.tag_size)
+            if dets is None:
+                dets = tuple(detect(img, rsu.camera, family, config.bus.tag_size))
+            memo[key] = dets  # as the newest
+            if len(memo) > FRAME_MEMO_SIZE:
+                memo.popitem(last=False)
+            frames[rsu.id] = list(dets)
         return frames
 
     try:

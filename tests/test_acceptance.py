@@ -254,27 +254,25 @@ def test_criterion_5_honest_cooperation(verdict):
 def test_criterion_6_identity_security(verdict):
     n_seeds = 100
     failures: list = []
-    for latency in (1, 2, 5):
-        for seed in range(n_seeds):
+    # seed-outer, so the sessions of one seed share their frames
+    for seed in range(n_seeds):
+        for latency in (1, 2, 5, 0):
             cfg = ScenarioConfig.from_json_dict(
                 make_clone_attack_scenario(seed=seed, reaction_latency=latency)
             )
             m = run_scenario(cfg).metrics
-            if not (
-                m["confusion_alerts"] >= 1
-                and m["bus_resolved_tick"] is not None
-                and m["challenge_rounds"] <= 3
-                and not m["attacker_accepted"]
-                and not m["failed"]
-            ):
+            if latency == 0:
+                ok = m["failed"] and not m["attacker_accepted"]
+            else:
+                ok = (
+                    m["confusion_alerts"] >= 1
+                    and m["bus_resolved_tick"] is not None
+                    and m["challenge_rounds"] <= 3
+                    and not m["attacker_accepted"]
+                    and not m["failed"]
+                )
+            if not ok:
                 failures.append((latency, seed, m))
-    for seed in range(n_seeds):
-        cfg = ScenarioConfig.from_json_dict(
-            make_clone_attack_scenario(seed=seed, reaction_latency=0)
-        )
-        m = run_scenario(cfg).metrics
-        if not (m["failed"] and not m["attacker_accepted"]):
-            failures.append((0, seed, m))
     ok = not failures
     verdict(
         6, "clone attacks always detected; laggards resolved, mimics fail closed",

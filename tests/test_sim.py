@@ -412,6 +412,14 @@ class TestOneEventPerStateChange:
 FAR_RSU = {"id": "rsu_far", "camera": overhead_camera(20.0, 0.0, 700.0, 640, 480)}
 
 
+@pytest.fixture
+def cold_memo():
+    """Start from an empty frame memo, so frames that earlier tests detected
+    do not skip the calls a test counts."""
+    vttag.simulate._family_for.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_memo")
 class TestTracerTargets:
     """The benchmark's tracer times the agent steps by replacing them at
     their vttag.simulate names, so the driver must call them there."""
@@ -455,6 +463,7 @@ class TestTracerTargets:
         assert stacks == {("estimate_homography", 3): 40, ("pose_from_homography", 2): 40}
 
 
+@pytest.mark.usefixtures("cold_memo")
 class TestTagFreeFrames:
     def test_bystander_frames_skip_the_window_sums(self, monkeypatch):
         # a lossy_multi_rsu session: sigma 1 keeps the bystander's grey range
@@ -482,6 +491,7 @@ class TestTagFreeFrames:
         }
 
 
+@pytest.mark.usefixtures("cold_memo")
 class TestNoisePrefetch:
     """Each camera's next noise field is drawn on a worker thread."""
 
@@ -547,3 +557,102 @@ class TestNoisePrefetch:
         with pytest.raises(RuntimeError, match="detector fault"):
             run_scenario(baseline(0, 8))
         assert threading.active_count() == before
+
+
+def counting_detect(monkeypatch) -> list:
+    """Patch simulate's detect to count its calls; returns the one-item count."""
+    calls = [0]
+    real = vttag.simulate.detect
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vttag.simulate, "detect", counting)
+    return calls
+
+
+def memo() -> dict:
+    return clone(0, 0)._family_entry[1]
+
+
+@pytest.mark.usefixtures("cold_memo")
+class TestFrameMemo:
+    """Sessions that share a scenario seed detect each distinct frame once."""
+
+    def test_laggards_detect_only_frames_not_seen_before(self, monkeypatch):
+        # the three laggards show the same screens until their attackers
+        # fall behind: latency 2 differs from latency 1 in one frame
+        calls = counting_detect(monkeypatch)
+        counts = []
+        for latency in (1, 2, 5):
+            before = calls[0]
+            run_scenario(clone(0, latency))
+            counts.append(calls[0] - before)
+        assert counts == [40, 1, 3]
+
+    def test_warm_runs_equal_cold_runs(self, monkeypatch):
+        calls = counting_detect(monkeypatch)
+
+        def outputs(warm):
+            out = []
+            for latency in (1, 2, 5, 0):
+                if not warm:
+                    vttag.simulate._family_for.cache_clear()
+                r = run_scenario(clone(2, latency))
+                out.append((r.report_json(), r.events_jsonl()))
+            return out
+
+        cold = outputs(warm=False)
+        cold_calls, calls[0] = calls[0], 0
+        vttag.simulate._family_for.cache_clear()
+        assert outputs(warm=True) == cold
+        assert calls[0] < cold_calls == 160
+
+    @pytest.mark.parametrize("edit, misses", [
+        ({}, 0),
+        # the bystander listed first takes the clone camera's RSU index, and
+        # so its noise seed
+        ({"rsus": [FAR_RSU] + make_clone_attack_scenario(0, 2)["rsus"]}, 80),
+        ({"noise_sigma": 2.0}, 80),
+    ], ids=["same", "bystander-first", "noise_sigma"])
+    def test_key_misses_on_another_frame(self, monkeypatch, edit, misses):
+        blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
+        blob["rsus"] = blob["rsus"] + [FAR_RSU]
+        run_scenario(ScenarioConfig.from_json_dict(blob))
+        calls = counting_detect(monkeypatch)
+        run_scenario(ScenarioConfig.from_json_dict({**blob, **edit}))
+        assert calls[0] == misses
+
+    def test_memo_is_bounded_and_cleared_with_its_family(self, monkeypatch):
+        size = vttag.simulate.FRAME_MEMO_SIZE
+        seeds = range(size // 40 + 1)  # 40 distinct frames each, more than size in all
+        for seed in [*seeds[:-1], seeds[0], seeds[-1]]:
+            run_scenario(clone(seed, 2))
+        assert len(memo()) == size
+        # the least recently used frames went first: seed 0's, used again
+        # before the last session, are all kept
+        calls = counting_detect(monkeypatch)
+        run_scenario(clone(seeds[0], 2))
+        assert calls[0] == 0
+        vttag.simulate._family_for.cache_clear()
+        assert len(memo()) == 0
+
+    def test_failed_detect_stores_nothing(self, monkeypatch):
+        real = vttag.simulate.detect
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise RuntimeError("detector fault")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(vttag.simulate, "detect", failing)
+        with pytest.raises(RuntimeError, match="detector fault"):
+            run_scenario(clone(0, 2))
+        assert len(memo()) == 4
+        monkeypatch.setattr(vttag.simulate, "detect", real)
+        calls = counting_detect(monkeypatch)
+        run_scenario(clone(0, 2))
+        assert calls[0] == 36
