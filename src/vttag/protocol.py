@@ -9,10 +9,10 @@ one tick to react is still showing the old code at that instant and is
 exposed; only a zero-latency mimic survives, which the protocol reports
 as ambiguous rather than guessing.
 
-An RSU's state is the code it tracks (None while idle) and at most one
-pending challenge round, (new_code, round, t_act): TAG_UPDATE and
-SYNC_APPOINT each fill one half, in either order, and with both set the
-RSU is armed to judge its frame of tick t_act.
+A challenge is one TAG_UPDATE per RSU, carrying the round's new code and
+its instant t_act. An RSU's state is the code it tracks (None while idle)
+and at most one pending round, (new_code, round, t_act), which the RSU
+judges on its frame of tick t_act.
 
 All step functions are pure: state in, state out, plus outbound messages
 and log events, returned as one StepResult. An event or a message says
@@ -58,7 +58,6 @@ class MsgKind(enum.Enum):
     POSE_REPORT = "POSE_REPORT"
     CONFUSION_ALERT = "CONFUSION_ALERT"
     TAG_UPDATE = "TAG_UPDATE"
-    SYNC_APPOINT = "SYNC_APPOINT"
     SYNC_RESULT = "SYNC_RESULT"
     CLOSE = "CLOSE"
 
@@ -67,9 +66,8 @@ class MsgKind(enum.Enum):
 _PAYLOAD_FIELDS = {
     MsgKind.INITIATE: {"client_code"},
     MsgKind.POSE_REPORT: {"estimate", "code_index"},
-    MsgKind.CONFUSION_ALERT: {"code_index", "count"},
-    MsgKind.TAG_UPDATE: {"new_code", "round"},
-    MsgKind.SYNC_APPOINT: {"t_act", "round"},
+    MsgKind.CONFUSION_ALERT: {"count"},
+    MsgKind.TAG_UPDATE: {"new_code", "round", "t_act"},
     MsgKind.SYNC_RESULT: {"verdict", "round"},
     MsgKind.CLOSE: set(),
 }
@@ -111,7 +109,7 @@ class ProtocolConfig:
     enter_tick: int
     leave_tick: int
     max_rounds: int = 3
-    delta_sync: int = 5  # ticks between appointment and the challenge instant
+    delta_sync: int = 5  # ticks between a challenge and its instant t_act
 
     def __post_init__(self):
         object.__setattr__(self, "rsu_ids", tuple(self.rsu_ids))
@@ -155,13 +153,13 @@ class RsuState:
     """Pure RSU state.
 
     client_code is the code of the tag the RSU tracks for the bus; None
-    means the RSU is idle. pending is the challenge round in progress, as
-    (new_code, round, t_act); each half stays None until its message
-    arrives, and the RSU is armed once both are set.
+    means the RSU is idle. pending is the newest challenge round the RSU
+    has been told of and not yet judged, (new_code, round, t_act) as its
+    TAG_UPDATE carried them, or None.
     """
 
     client_code: Optional[int] = None
-    pending: Optional[tuple] = None  # (new_code or None, round, t_act tick or None)
+    pending: Optional[tuple] = None
 
 
 class AttackerStrategy(enum.Enum):
@@ -279,23 +277,15 @@ def _enter(state: BusState, phase: BusPhase, events: list) -> BusState:
     return replace(state, phase=phase)
 
 
-def _to_rsus(config: ProtocolConfig, *messages: tuple) -> list:
-    """The bus's (kind, payload) messages, addressed RSU by RSU.
-
-    Each RSU gets every message in the given order before the next RSU
-    gets any: the lossy Channel draws drops in send order.
-    """
-    return [
-        ProtocolMessage(kind, config.bus_id, rsu, payload)
-        for rsu in config.rsu_ids
-        for kind, payload in messages
-    ]
+def _to_rsus(config: ProtocolConfig, kind: MsgKind, payload: dict) -> list:
+    """One bus message of kind, addressed to each RSU in list order."""
+    return [ProtocolMessage(kind, config.bus_id, rsu, payload) for rsu in config.rsu_ids]
 
 
 def _challenge(
     state: BusState, now: int, config: ProtocolConfig, events: list
 ) -> tuple[BusState, list]:
-    """Issue a TAG_UPDATE + SYNC_APPOINT pair for the next round."""
+    """Post the next round's TAG_UPDATE, its new code and t_act, to every RSU."""
     if not state.code_pool:
         events.append(("code_pool_exhausted", {}))
         return _enter(state, BusPhase.FAILED, events), []
@@ -303,9 +293,7 @@ def _challenge(
     rnd = state.round + 1
     t_act = now + config.delta_sync
     out = _to_rsus(
-        config,
-        (MsgKind.TAG_UPDATE, {"new_code": new_code, "round": rnd}),
-        (MsgKind.SYNC_APPOINT, {"t_act": t_act, "round": rnd}),
+        config, MsgKind.TAG_UPDATE, {"new_code": new_code, "round": rnd, "t_act": t_act}
     )
     events.append(("challenge", {"round": rnd, "new_code": new_code, "t_act": t_act}))
     nxt = replace(
@@ -348,7 +336,7 @@ def bus_step(
         and now < config.leave_tick
         and (now - config.enter_tick) % config.delta_sync == 0
     ):
-        out += _to_rsus(config, (MsgKind.INITIATE, {"client_code": st.displayed_code}))
+        out += _to_rsus(config, MsgKind.INITIATE, {"client_code": st.displayed_code})
 
     reports: list = []
     for msg in inbox:
@@ -426,7 +414,7 @@ def bus_step(
         now == config.leave_tick
         and st.phase not in (BusPhase.IDLE, BusPhase.LEAVING)
     ):
-        out += _to_rsus(config, (MsgKind.CLOSE, {}))
+        out += _to_rsus(config, MsgKind.CLOSE, {})
         st = _enter(st, BusPhase.LEAVING, events)
 
     return StepResult(state=st, outbound=tuple(out), events=tuple(events))
@@ -462,30 +450,21 @@ def rsu_step(
         elif msg.kind is MsgKind.CLOSE:
             st = RsuState()
             events.append(("rsu_idle", {}))
-        elif msg.kind in (MsgKind.TAG_UPDATE, MsgKind.SYNC_APPOINT) and st.client_code is not None:
-            rnd = int(msg.payload["round"])
-            new_code, pending_rnd, t_act = st.pending or (None, rnd, None)
-            if pending_rnd > rnd:
-                continue  # a half of an older round
-            if pending_rnd < rnd:  # a newer round starts with this half
-                new_code = t_act = None
-            if msg.kind is MsgKind.TAG_UPDATE:
-                new_code = int(msg.payload["new_code"])
-            else:
-                t_act = int(msg.payload["t_act"])
-            st = replace(st, pending=(new_code, rnd, t_act))
+        elif msg.kind is MsgKind.TAG_UPDATE and st.client_code is not None:
+            challenge = tuple(int(msg.payload[k]) for k in ("new_code", "round", "t_act"))
+            if st.pending is None or st.pending[1] <= challenge[1]:  # not an older round's
+                st = replace(st, pending=challenge)
 
     new_code, rnd, t_act = st.pending or (None, None, None)
-    armed = new_code is not None and t_act is not None
-    if armed and now == t_act:
+    if st.pending is not None and now == t_act:
         verdict = resolve_sync(frame, new_code)
         to_bus(MsgKind.SYNC_RESULT, verdict=verdict, round=rnd)
         events.append(("sync_evaluated", {"verdict": verdict.to_json_dict()}))
         st = RsuState(
             client_code=new_code if verdict.kind == "unique" else st.client_code
         )
-    elif armed and now > t_act:
-        # the round's second half arrived after its instant (network
+    elif st.pending is not None and now > t_act:
+        # the round's TAG_UPDATE arrived after its instant (network
         # latency above delta_sync): no frame of t_act is left to judge
         events.append(("sync_missed", {"t_act": t_act, "round": rnd}))
         st = RsuState(client_code=st.client_code)
@@ -497,7 +476,7 @@ def rsu_step(
             if est is not None:
                 to_bus(MsgKind.POSE_REPORT, estimate=est, code_index=det.code_index)
         if len(matching) >= 2:
-            to_bus(MsgKind.CONFUSION_ALERT, code_index=st.client_code, count=len(matching))
+            to_bus(MsgKind.CONFUSION_ALERT, count=len(matching))
 
     return StepResult(state=st, outbound=tuple(out), events=tuple(events))
 

@@ -52,12 +52,12 @@ CFG = ProtocolConfig(
 class TestMessages:
     def test_payload_validation(self):
         with pytest.raises(ValueError):
-            ProtocolMessage(MsgKind.TAG_UPDATE, "bus", "r0", {"new_code": 3})
-        ProtocolMessage(MsgKind.TAG_UPDATE, "bus", "r0", {"new_code": 3, "round": 1})
+            ProtocolMessage(MsgKind.TAG_UPDATE, "bus", "r0", {"new_code": 3, "round": 1})
+        ProtocolMessage(MsgKind.TAG_UPDATE, "bus", "r0", {"new_code": 3, "round": 1, "t_act": 8})
 
     def test_json_dict(self):
         m = ProtocolMessage(
-            MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 2, "count": 2}
+            MsgKind.CONFUSION_ALERT, "r0", "bus", {"count": 2}
         )
         d = m.to_json_dict()
         assert d["kind"] == "CONFUSION_ALERT" and d["payload"]["count"] == 2
@@ -122,19 +122,17 @@ class TestBusBasics:
     def test_confusion_triggers_challenge(self):
         bus = bus_step(make_bus_state(0, 30, seed=1), [], 0, CFG).state
         alert = ProtocolMessage(
-            MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 0, "count": 2}
+            MsgKind.CONFUSION_ALERT, "r0", "bus", {"count": 2}
         )
         res = bus_step(bus, [alert], 2, CFG)
-        kinds = sorted(m.kind.value for m in res.outbound)
-        assert kinds == ["SYNC_APPOINT", "TAG_UPDATE"]
-        upd = next(m for m in res.outbound if m.kind is MsgKind.TAG_UPDATE)
+        (upd,) = res.outbound
+        assert upd.kind is MsgKind.TAG_UPDATE
         assert upd.payload["new_code"] != 0
-        appoint = next(m for m in res.outbound if m.kind is MsgKind.SYNC_APPOINT)
-        assert appoint.payload["t_act"] == 2 + CFG.delta_sync
+        assert upd.payload["t_act"] == 2 + CFG.delta_sync
         assert res.state.phase is BusPhase.SYNC_WAIT
         assert res.state.round == 1
         # the screen still shows the old code until t_act
-        t_act = appoint.payload["t_act"]
+        t_act = upd.payload["t_act"]
         assert res.state.displayed_code == 0
         assert bus_screen(res.state, t_act - 1) == 0
         assert bus_screen(res.state, t_act) == upd.payload["new_code"]
@@ -142,7 +140,7 @@ class TestBusBasics:
     def test_stale_sync_result_ignored(self):
         bus = bus_step(make_bus_state(0, 30, seed=1), [], 0, CFG).state
         alert = ProtocolMessage(
-            MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 0, "count": 2}
+            MsgKind.CONFUSION_ALERT, "r0", "bus", {"count": 2}
         )
         bus = bus_step(bus, [alert], 2, CFG).state
         stale = ProtocolMessage(
@@ -165,7 +163,7 @@ class TestBusBasics:
         # an RSU that missed INITIATE gets it again every delta_sync ticks
         bus, sent = make_bus_state(0, 30, seed=1), []
         alert = ProtocolMessage(
-            MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 0, "count": 2}
+            MsgKind.CONFUSION_ALERT, "r0", "bus", {"count": 2}
         )
         inboxes = {7: [alert], 13: [result("r0", "unique")]}
         for now in range(25):
@@ -175,26 +173,34 @@ class TestBusBasics:
         assert bus.resolved_tick == 13
         assert sent == [0, 5, 10]
 
+    def test_challenge_is_one_message_per_rsu(self):
+        # one TAG_UPDATE per RSU carries the whole round: code, round, t_act
+        cfg = replace(CFG, rsu_ids=("r0", "r1", "r2"))
+        bus = bus_step(make_bus_state(0, 30, seed=1), [], 0, cfg).state
+        alert = ProtocolMessage(MsgKind.CONFUSION_ALERT, "r2", "bus", {"count": 2})
+        res = bus_step(bus, [alert], 2, cfg)
+        (challenge,) = [d for name, d in res.events if name == "challenge"]
+        assert [(m.kind, m.receiver, m.payload) for m in res.outbound] == [
+            (MsgKind.TAG_UPDATE, rsu, challenge) for rsu in cfg.rsu_ids
+        ]
+
     def test_sends_rsu_by_rsu(self):
         # the lossy Channel draws drops in send order, so each tick's order
-        # fixes which messages a drop stream takes: every RSU gets all its
-        # messages, the TAG_UPDATE before the SYNC_APPOINT, before the next
+        # fixes which messages a drop stream takes: each message goes to
+        # the RSUs in list order
         cfg = replace(CFG, rsu_ids=("r0", "r1"), leave_tick=3)
         sent = []
         res = bus_step(make_bus_state(0, 30, seed=1), [], 0, cfg)
         sent.append(res.outbound)
         alert = ProtocolMessage(
-            MsgKind.CONFUSION_ALERT, "r1", "bus", {"code_index": 0, "count": 2}
+            MsgKind.CONFUSION_ALERT, "r1", "bus", {"count": 2}
         )
         res = bus_step(res.state, [alert], 2, cfg)
         sent.append(res.outbound)
         sent.append(bus_step(res.state, [], 3, cfg).outbound)
         assert [[(m.kind.value, m.sender, m.receiver) for m in out] for out in sent] == [
             [("INITIATE", "bus", "r0"), ("INITIATE", "bus", "r1")],
-            [
-                ("TAG_UPDATE", "bus", "r0"), ("SYNC_APPOINT", "bus", "r0"),
-                ("TAG_UPDATE", "bus", "r1"), ("SYNC_APPOINT", "bus", "r1"),
-            ],
+            [("TAG_UPDATE", "bus", "r0"), ("TAG_UPDATE", "bus", "r1")],
             [("CLOSE", "bus", "r0"), ("CLOSE", "bus", "r1")],
         ]
 
@@ -226,10 +232,7 @@ def bus_inbox(drawn, bus):
     msgs = []
     for kind, sender, verdict, offset in drawn:
         if kind == "alert":
-            payload = {"code_index": bus.displayed_code, "count": 2}
-            msgs.append(
-                ProtocolMessage(MsgKind.CONFUSION_ALERT, sender, "bus", payload)
-            )
+            msgs.append(ProtocolMessage(MsgKind.CONFUSION_ALERT, sender, "bus", {"count": 2}))
         else:
             payload = {
                 "verdict": SyncVerdict(kind=verdict, count=VERDICT_COUNTS[verdict]),
@@ -316,7 +319,7 @@ FOLD_CASES = {
 def test_bus_judges_each_round_once(steps, phase, rnd, judged):
     cfg = replace(CFG, rsu_ids=("r0", "r1"))
     bus = bus_step(make_bus_state(0, 30, seed=1), [], 0, cfg).state
-    alert = ProtocolMessage(MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 0, "count": 2})
+    alert = ProtocolMessage(MsgKind.CONFUSION_ALERT, "r0", "bus", {"count": 2})
     bus = bus_step(bus, [alert], 2, cfg).state
     assert (bus.round, bus.deadline) == (1, 12)
     logged, names = [], ("sync_resolved", "sync_unresolved", "stale_message")
@@ -366,32 +369,12 @@ class TestRsu:
         kinds = [m.kind for m in res.outbound]
         assert kinds == []  # and no further POSE_REPORTs
 
-    def test_sync_appoint_before_update_arms_with_it(self):
-        st = RsuState(client_code=4)
-        appoint = ProtocolMessage(
-            MsgKind.SYNC_APPOINT, "bus", "r0", {"t_act": 8, "round": 1}
-        )
-        upd = ProtocolMessage(
-            MsgKind.TAG_UPDATE, "bus", "r0", {"new_code": 7, "round": 1}
-        )
-        res = rsu_step(st, [appoint], [], 4, "r0", "bus", no_report)
-        assert res.state.pending == (None, 1, 8)  # active, not armed
-        assert res.events == () and res.outbound == ()
-        st = rsu_step(res.state, [upd], [], 5, "r0", "bus", no_report).state
-        assert st.pending == (7, 1, 8)  # armed
-        res = rsu_step(st, [], [fake_det(4), fake_det(7)], 8, "r0", "bus", no_report)
-        assert res.state == RsuState(client_code=7)
-        assert [m.payload["verdict"].kind for m in res.outbound] == ["unique"]
-
     def test_armed_rsu_evaluates_at_t_act(self):
         st = RsuState(client_code=4)
         upd = ProtocolMessage(
-            MsgKind.TAG_UPDATE, "bus", "r0", {"new_code": 7, "round": 1}
+            MsgKind.TAG_UPDATE, "bus", "r0", {"new_code": 7, "round": 1, "t_act": 8}
         )
-        appoint = ProtocolMessage(
-            MsgKind.SYNC_APPOINT, "bus", "r0", {"t_act": 8, "round": 1}
-        )
-        st = rsu_step(st, [upd, appoint], [], 3, "r0", "bus", no_report).state
+        st = rsu_step(st, [upd], [], 3, "r0", "bus", no_report).state
         assert st.pending == (7, 1, 8)  # armed
         # nothing happens before t_act
         st = rsu_step(st, [], [fake_det(4)], 5, "r0", "bus", no_report).state
@@ -404,11 +387,10 @@ class TestRsu:
 
 IDLE = RsuState()
 ACTIVE = RsuState(client_code=4)
-UPDATED = RsuState(client_code=4, pending=(7, 1, None))
-APPOINTED = RsuState(client_code=4, pending=(None, 1, 8))
 ARMED = RsuState(client_code=4, pending=(7, 1, 8))
-UPDATE_1 = (MsgKind.TAG_UPDATE, {"new_code": 7, "round": 1})
-APPOINT_1 = (MsgKind.SYNC_APPOINT, {"t_act": 8, "round": 1})
+ARMED_2 = RsuState(client_code=4, pending=(9, 2, 13))
+UPDATE_1 = (MsgKind.TAG_UPDATE, {"new_code": 7, "round": 1, "t_act": 8})
+UPDATE_2 = (MsgKind.TAG_UPDATE, {"new_code": 9, "round": 2, "t_act": 13})
 CLOSE = (MsgKind.CLOSE, {})
 
 # state, inbox, codes in frame, now -> next state, outbound kinds, event
@@ -423,31 +405,15 @@ RSU_TRANSITIONS = {
         ARMED, [(MsgKind.INITIATE, {"client_code": 5})], [], 5, ARMED, [], [], None,
     ),
     "update_while_idle": (IDLE, [UPDATE_1], [], 3, IDLE, [], [], None),
-    "appoint_while_idle": (IDLE, [APPOINT_1], [], 3, IDLE, [], [], None),
-    "update": (ACTIVE, [UPDATE_1], [], 3, UPDATED, [], [], None),
-    "update_and_appoint": (ACTIVE, [UPDATE_1, APPOINT_1], [], 3, ARMED, [], [], None),
-    "appoint_after_update": (UPDATED, [APPOINT_1], [], 4, ARMED, [], [], None),
-    "appoint_without_update": (ACTIVE, [APPOINT_1], [], 3, APPOINTED, [], [], None),
-    "appoint_and_update": (ACTIVE, [APPOINT_1, UPDATE_1], [], 3, ARMED, [], [], None),
-    "update_after_appoint": (APPOINTED, [UPDATE_1], [], 4, ARMED, [], [], None),
-    "appoint_for_another_round": (
-        UPDATED, [(MsgKind.SYNC_APPOINT, {"t_act": 8, "round": 2})], [], 3,
-        RsuState(client_code=4, pending=(None, 2, 8)), [], [], None,
+    "update": (ACTIVE, [UPDATE_1], [], 3, ARMED, [], [], None),
+    "update_while_armed_starts_next_round": (ARMED, [UPDATE_2], [], 5, ARMED_2, [], [], None),
+    "update_of_older_round": (ARMED_2, [UPDATE_1], [], 4, ARMED_2, [], [], None),
+    "update_of_older_round_after_newer": (
+        ACTIVE, [UPDATE_2, UPDATE_1], [], 4, ARMED_2, [], [], None,
     ),
-    "update_while_armed_starts_next_round": (
-        ARMED, [(MsgKind.TAG_UPDATE, {"new_code": 9, "round": 2})], [], 5,
-        RsuState(client_code=4, pending=(9, 2, None)), [], [], None,
-    ),
-    "update_of_older_round": (
-        RsuState(client_code=4, pending=(None, 2, 8)), [UPDATE_1], [], 4,
-        RsuState(client_code=4, pending=(None, 2, 8)), [], [], None,
-    ),
-    "appoint_of_older_round": (
-        RsuState(client_code=4, pending=(9, 2, None)), [APPOINT_1], [], 4,
-        RsuState(client_code=4, pending=(9, 2, None)), [], [], None,
-    ),
+    # neither pending nor missed: round 2 is still judged at its t_act
+    "update_of_older_round_after_its_t_act": (ARMED_2, [UPDATE_1], [], 9, ARMED_2, [], [], None),
     "armed_before_t_act": (ARMED, [], [4, 7], 7, ARMED, [], [], None),
-    "appointed_only_at_t_act": (APPOINTED, [], [4, 7], 8, APPOINTED, [], [], None),
     "one_copy_silent": (ACTIVE, [], [4, 2], 5, ACTIVE, [], [], None),
     "two_copies_alert": (ACTIVE, [], [4, 2, 4], 5, ACTIVE, ["CONFUSION_ALERT"], [], 2),
     "three_copies_alert": (
@@ -464,7 +430,7 @@ RSU_TRANSITIONS = {
     "absent_at_t_act": (
         ARMED, [], [4], 8, ACTIVE, ["SYNC_RESULT"], ["sync_evaluated"], ("absent", 1),
     ),
-    "late_appointment": (UPDATED, [APPOINT_1], [], 9, ACTIVE, [], ["sync_missed"], None),
+    "late_appointment": (ACTIVE, [UPDATE_1], [], 9, ACTIVE, [], ["sync_missed"], None),
     "close": (ACTIVE, [CLOSE], [4], 9, IDLE, [], ["rsu_idle"], None),
     "close_while_armed": (ARMED, [CLOSE], [4], 5, IDLE, [], ["rsu_idle"], None),
 }
@@ -559,6 +525,16 @@ class TestEndToEndWalks:
             ("sync_evaluated", "b0", "absent"), ("sync_evaluated", "r0", "unique"),
             ("sync_resolved", None, None),
         ]
+
+    @pytest.mark.parametrize("latency", [0, 2])
+    def test_one_challenge_message_per_rsu_per_round(self, latency):
+        # lossless: besides INITIATE, the bus sends one TAG_UPDATE per RSU
+        # per round (3 rounds at latency 0, 1 at latency 2)
+        bus, events = run_session(latency, rsu_ids=("b0", "r0"))
+        sent = [d["msg"].kind for _, name, d in events
+                if name == "message" and d["msg"].sender == "bus"]
+        challenges = [kind for kind in sent if kind is not MsgKind.INITIATE]
+        assert challenges == [MsgKind.TAG_UPDATE] * (bus.round * 2)
 
     def test_driver_stamps_tick_and_agent(self):
         # a bystander listed first sees nothing, so each of its verdicts
@@ -686,11 +662,11 @@ def run_schedule(fates, bystanders, latency, shown):
         st.integers(0, SCHEDULE_TICKS - 1), st.one_of(st.integers(0, 29), st.just("next"))
     ),
 )
-# the first TAG_UPDATE takes 2 ticks and its SYNC_APPOINT 1, so the
-# appointment reaches r0 first
-@example(fates=[1, 1, 1, 2], bystanders=[], latency=2, shown={})
-# b0's first INITIATE is dropped, so round 1's halves reach it while idle
-# and are ignored; the repeat INITIATE, sent at tick 5, activates it
+# round 1's TAG_UPDATE to r0 (the sixth message sent) is dropped, so only
+# the bystander b0 judges round 1, and round 2 follows
+@example(fates=[1, 1, 1, 1, 1, None], bystanders=[0], latency=2, shown={})
+# b0's first INITIATE is dropped, so round 1's TAG_UPDATE reaches it while
+# idle and is ignored; the repeat INITIATE, sent at tick 5, activates it
 @example(fates=[None], bystanders=[0], latency=0, shown={})
 @settings(max_examples=400, deadline=None)
 def test_driver_under_adversarial_schedules(fates, bystanders, latency, shown):
@@ -721,32 +697,31 @@ def test_driver_under_adversarial_schedules(fates, bystanders, latency, shown):
         if deadline < s.config.leave_tick:
             assert any(r == c["round"] and t <= deadline for r, t in rounds_judged)
 
-    # an RSU that read an INITIATE before either half of round r, holds
-    # both halves by its t_act and no half of a later round, judges round r
-    # at t_act, whichever half came first; a half that reaches an idle RSU
-    # is ignored. Messages due in one tick are read in send order.
+    # an RSU that read an INITIATE before round r's TAG_UPDATE, got that
+    # message by t_act, and got no later round's message and no CLOSE,
+    # judges round r at t_act; a TAG_UPDATE that reaches an idle RSU is
+    # ignored. Messages due in one tick are read in send order.
     delivered = sorted(
         (d["deliver_at"], i, d["msg"]) for i, (_, d) in enumerate(posted)
         if d["deliver_at"] is not None
     )
     judged = {(d["rsu"], t) for t, name, d in events if name == "sync_evaluated"}
-    halves = (MsgKind.TAG_UPDATE, MsgKind.SYNC_APPOINT)
     for _, name, c in events:
         if name != "challenge" or c["t_act"] >= SCHEDULE_TICKS:
             continue
         for rid in s.rsus:
             got = [m for at, _, m in delivered if m.receiver == rid and at <= c["t_act"]]
-            kinds = {m.kind for m in got}
-            first_half = next(
-                (i for i, m in enumerate(got) if m.kind in halves and m.payload["round"] == c["round"]),
-                len(got),
+            rounds = [m.payload["round"] for m in got if m.kind is MsgKind.TAG_UPDATE]
+            update = next(
+                (i for i, m in enumerate(got)
+                 if m.kind is MsgKind.TAG_UPDATE and m.payload["round"] == c["round"]),
+                None,
             )
-            held = {(m.kind, m.payload["round"]) for m in got if m.kind in halves}
             if (
-                any(m.kind is MsgKind.INITIATE for m in got[:first_half])
-                and MsgKind.CLOSE not in kinds
-                and {(k, c["round"]) for k in halves} <= held
-                and all(r <= c["round"] for _, r in held)
+                update is not None
+                and any(m.kind is MsgKind.INITIATE for m in got[:update])
+                and all(m.kind is not MsgKind.CLOSE for m in got)
+                and max(rounds) == c["round"]
             ):
                 assert (rid, c["t_act"]) in judged
 

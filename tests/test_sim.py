@@ -83,7 +83,7 @@ class TestChannel:
     def test_fifo_within_tick(self):
         ch = Channel(latency=2, drop=0.0, seed=0)
         a = ProtocolMessage(MsgKind.CLOSE, "bus", "r0")
-        b = ProtocolMessage(MsgKind.CONFUSION_ALERT, "r0", "bus", {"code_index": 0, "count": 2})
+        b = ProtocolMessage(MsgKind.CONFUSION_ALERT, "r0", "bus", {"count": 2})
         ch.send(a, 0)
         ch.send(b, 0)
         assert [m.kind for m in ch.deliver(2)] == [MsgKind.CLOSE, MsgKind.CONFUSION_ALERT]
@@ -398,7 +398,7 @@ class TestOneEventPerStateChange:
 
     def test_late_appointment_logs_sync_missed(self):
         blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
-        blob["network"]["latency"] = 6  # SYNC_APPOINT lands after its t_act
+        blob["network"]["latency"] = 6  # TAG_UPDATE lands after its t_act
         report = run_scenario(ScenarioConfig.from_json_dict(blob))
         t_acts = {ev["round"]: ev["t_act"] for ev in report.events if ev["event"] == "challenge"}
         missed = [ev for ev in report.events if ev["event"] == "sync_missed"]
