@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "project",
     "frame_noise",
     "render_scene",
+    "tag_in_view",
     "tag_border_corners",
     "BORDER_UNIT_CORNERS",
 ]
@@ -37,6 +39,7 @@ _BACKGROUND = 96  # gray level of every pixel no tag covers
 BORDER_UNIT_CORNERS = np.array(
     [[-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]]
 )
+_UNIT_CORNERS_3D = np.column_stack([BORDER_UNIT_CORNERS, np.zeros(4)])  # on the tag plane
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,11 @@ class CameraModel:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
         self.pose.validate()
+
+    @cached_property
+    def world_to_camera(self) -> RigidTransform:
+        """The inverse of pose, built once."""
+        return self.pose.inverse()
 
     def to_pixels(self, p_cam: np.ndarray) -> np.ndarray:
         """Pinhole projection of camera-frame points (..., 3) to pixel coordinates (..., 2)."""
@@ -185,7 +193,7 @@ def render_tag_bitmap(family: TagFamily, index: int, pixels_per_cell: int) -> Im
 
 def project(camera: CameraModel, point) -> Optional[np.ndarray]:
     """World point -> pixel coordinates, or None when at/behind the camera plane."""
-    p_cam = camera.pose.inverse().apply(np.asarray(point, dtype=float))
+    p_cam = camera.world_to_camera.apply(np.asarray(point, dtype=float))
     if p_cam[2] <= _EPS_DEPTH:
         return None
     return camera.to_pixels(p_cam)
@@ -196,29 +204,38 @@ def tag_border_corners(tag: PlacedTag) -> np.ndarray:
 
     Order matches BORDER_UNIT_CORNERS.
     """
-    half = tag.tag_size / 2.0
-    local = np.column_stack([BORDER_UNIT_CORNERS * half, np.zeros(4)])
-    return tag.pose.apply(local)
+    return tag.pose.apply(_UNIT_CORNERS_3D * (tag.tag_size / 2.0))
+
+
+def _full_half(tag: PlacedTag, n: int) -> float:
+    """Half the side of a tag's full square, white ring included, for an n x n payload."""
+    return tag.tag_size * (n + 4) / (n + 2) / 2.0
 
 
 def _tag_pixel_bbox(camera: CameraModel, tag: PlacedTag, full_half: float):
     """Conservative pixel bounding box of the full tag square, or None if out of view."""
-    local = np.column_stack([BORDER_UNIT_CORNERS * full_half, np.zeros(4)])
-    corners = tag.pose.apply(local)
-    cam_pts = camera.pose.inverse().apply(corners)
-    if (cam_pts[:, 2] <= _EPS_DEPTH).any():
+    corners = tag.pose.apply(_UNIT_CORNERS_3D * full_half)
+    cam_pts = camera.world_to_camera.apply(corners)
+    behind = cam_pts[:, 2] <= _EPS_DEPTH
+    if behind.any():
         # partially behind the camera plane: fall back to the whole frame
-        if (cam_pts[:, 2] <= _EPS_DEPTH).all():
+        if behind.all():
             return None
         return (0, camera.height, 0, camera.width)
-    us, vs = camera.to_pixels(cam_pts).T
-    c0 = max(0, int(np.floor(us.min())) - 2)
-    c1 = min(camera.width, int(np.ceil(us.max())) + 2)
-    r0 = max(0, int(np.floor(vs.min())) - 2)
-    r1 = min(camera.height, int(np.ceil(vs.max())) + 2)
+    pix = camera.to_pixels(cam_pts)
+    (u0, v0), (u1, v1) = pix.min(axis=0).tolist(), pix.max(axis=0).tolist()
+    c0 = max(0, math.floor(u0) - 2)
+    c1 = min(camera.width, math.ceil(u1) + 2)
+    r0 = max(0, math.floor(v0) - 2)
+    r1 = min(camera.height, math.ceil(v1) + 2)
     if c0 >= c1 or r0 >= r1:
         return None
     return (r0, r1, c0, c1)
+
+
+def tag_in_view(camera: CameraModel, tag: PlacedTag, family: TagFamily) -> bool:
+    """Whether render_scene rasterizes tag; one it skips changes no pixel of the frame."""
+    return _tag_pixel_bbox(camera, tag, _full_half(tag, family.n)) is not None
 
 
 def frame_noise(seed: int, h: int, w: int, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -260,7 +277,7 @@ def render_scene(
         grid = _tag_cell_grid(family, tag.index)
         n = family.n
         cell = tag.tag_size / (n + 2)
-        full_half = tag.tag_size * (n + 4) / (n + 2) / 2.0
+        full_half = _full_half(tag, n)
         bbox = _tag_pixel_bbox(camera, tag, full_half)
         if bbox is None:
             continue

@@ -12,15 +12,19 @@ noise depends on nothing in the scene, so with noise on, each camera's
 field for tick t + 1 is drawn on one worker thread while tick t is
 detected and stepped; frames are the same to the bit.
 
-Each family keeps the detections of its last FRAME_MEMO_SIZE frames, so
-sessions that share a scenario seed render and detect a frame once.
+Each family keeps the detections of its last FRAME_MEMO_SIZE frames, keyed
+by the camera, the tags it can see and the noise seed, so sessions that
+share a scenario seed render and detect a frame once, and a camera that
+sees no tag renders one frame per noise seed. No field is drawn ahead for
+a camera and seed whose frame is held; should that frame miss after all,
+render_scene draws the field from its seed inline.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -31,7 +35,7 @@ import numpy as np
 from .codes import TagFamily, generate_family
 from .detector import detect
 from .errors import DegenerateProjection, ScenarioError
-from .imaging import CameraModel, PlacedTag, frame_noise, render_scene
+from .imaging import CameraModel, PlacedTag, frame_noise, render_scene, tag_in_view
 from .localization import PlanarPose, PoseEstimate, detection_weight, vehicle_pose_from_detection
 from .protocol import (
     AttackerState,
@@ -418,15 +422,17 @@ def _jsonable_event(tick: int, name: str, detail: dict) -> dict:
     return out
 
 
-# clone_sweep repeats frames 40-80 back, lossy_multi_rsu up to 4 sessions x 80
+# clone_sweep repeats frames 40-80 back; lossy_multi_rsu's clone camera up to
+# 4 sessions x 80, and its tag-free bystander 2 sessions x 80 in a seed's round
 FRAME_MEMO_SIZE = 256
 
 
 @lru_cache(maxsize=8)
 def _family_for(n: int, d_min: int, count: int, seed: int) -> tuple:
     # generation is deterministic, so sharing across runs changes nothing;
-    # the memo of frames detected against the family, oldest first, goes with it
-    return generate_family(n, d_min, count, seed=seed), OrderedDict()
+    # the memo of frames detected against the family, oldest first, goes with
+    # it, and so does the count of its frames per (view, noise seed)
+    return generate_family(n, d_min, count, seed=seed), OrderedDict(), Counter()
 
 
 def _pose_key(pose: RigidTransform) -> tuple:
@@ -497,7 +503,7 @@ def step_session(s: Session, t: int, see, log, estimate) -> tuple:
 
 def run_scenario(config: ScenarioConfig) -> SimReport:
     """Run the full tick loop; deterministic given the config."""
-    family, memo = config._family_entry
+    family, memo, held = config._family_entry
 
     session = Session(
         config=ProtocolConfig(
@@ -539,21 +545,27 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
     if config.noise_sigma > 0:
         noise_buffers = [np.empty((r.camera.height, r.camera.width)) for r in config.rsus]
         noise_pool = ThreadPoolExecutor(max_workers=1)
-    next_noise = {}  # RSU index -> (seed, future of its field) for the coming tick
+    # RSU index -> (seed, future of its field, or None if not drawn ahead) for
+    # the coming tick
+    next_noise = {}
+
+    # what a frame's detections depend on besides its tags and noise seed
+    views = [
+        (r.camera.fx, r.camera.fy, r.camera.cx, r.camera.cy, r.camera.width,
+         r.camera.height, _pose_key(r.camera.pose), config.noise_sigma, config.bus.tag_size)
+        for r in config.rsus
+    ]
 
     def draw_noise(ri, t):
         if noise_pool is None or t == config.ticks:
             return
         seed = int(np.random.SeedSequence([config.seed, 0xCA13, ri, t]).generate_state(1)[0])
+        if held[views[ri], seed]:
+            # a frame of this camera and seed is held, so the coming one likely hits
+            next_noise[ri] = seed, None
+            return
         buf = noise_buffers[ri]
         next_noise[ri] = seed, noise_pool.submit(frame_noise, seed, *buf.shape, out=buf)
-
-    # what a frame's detections depend on besides its tags and noise seed
-    views = {
-        rid: (c.fx, c.fy, c.cx, c.cy, c.width, c.height, _pose_key(c.pose),
-              config.noise_sigma, config.bus.tag_size)
-        for rid, c in cameras.items()
-    }
 
     def see(t, bus_code, attacker_codes):
         codes = {config.bus.id: bus_code, **attacker_codes}
@@ -563,11 +575,13 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
             world = planar_to_world(planar.x, planar.y, planar.yaw) @ spec.mount
             placed.append(PlacedTag(index=codes[spec.id], tag_size=spec.tag_size, pose=world))
             placed_at[spec.id] = planar, world.translation
-        tags = tuple((p.index, p.tag_size, _pose_key(p.pose)) for p in placed)
+        tags = [(p.index, p.tag_size, _pose_key(p.pose)) for p in placed]
         frames = {}
         for ri, rsu in enumerate(config.rsus):
             seed, noise = next_noise.get(ri, (None, None))
-            key = (views[rsu.id], tags, seed)
+            # the frame depends only on the tags render_scene draws, in order
+            seen = tuple(k for k, p in zip(tags, placed) if tag_in_view(rsu.camera, p, family))
+            key = (views[ri], seen, seed)
             dets = memo.pop(key, None)
             if dets is None:
                 img = render_scene(
@@ -575,6 +589,7 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
                     placed,
                     family,
                     noise_sigma=config.noise_sigma,
+                    seed=seed,
                     noise=None if noise is None else noise.result(),
                 )
             # the frame is a copy, so the buffer is free for the next draw; a
@@ -582,9 +597,13 @@ def run_scenario(config: ScenarioConfig) -> SimReport:
             draw_noise(ri, t + 1)
             if dets is None:
                 dets = tuple(detect(img, rsu.camera, family, config.bus.tag_size))
+                held[views[ri], seed] += 1
             memo[key] = dets  # as the newest
             if len(memo) > FRAME_MEMO_SIZE:
-                memo.popitem(last=False)
+                (view, _, old_seed), _ = memo.popitem(last=False)
+                held[view, old_seed] -= 1
+                if not held[view, old_seed]:
+                    del held[view, old_seed]
             frames[rsu.id] = list(dets)
         return frames
 

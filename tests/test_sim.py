@@ -411,6 +411,46 @@ class TestOneEventPerStateChange:
 # a 640x480 camera that sees neither vehicle
 FAR_RSU = {"id": "rsu_far", "camera": overhead_camera(20.0, 0.0, 700.0, 640, 480)}
 
+FAR_SHAPE, CLONE_SHAPE = (480, 640), (180, 240)
+
+
+def lossy(latency, clone_fx=260.0) -> ScenarioConfig:
+    """A lossy_multi_rsu session: clone seed 3, drop 0.1, the bystander listed
+    first; clone_fx sets the clone camera's focal length in x."""
+    blob = make_clone_attack_scenario(seed=3, reaction_latency=latency)
+    blob["rsus"][0]["camera"]["fx"] = clone_fx
+    blob["rsus"] = [FAR_RSU] + blob["rsus"]
+    blob["network"]["drop"] = 0.1
+    return ScenarioConfig.from_json_dict(blob)
+
+
+def counting_draws(monkeypatch) -> Counter:
+    """Patch simulate's frame_noise, which the worker calls, to count its
+    draws per frame shape."""
+    draws = Counter()
+    real = vttag.simulate.frame_noise
+
+    def counting(seed, h, w, **kwargs):
+        draws[h, w] += 1
+        return real(seed, h, w, **kwargs)
+
+    monkeypatch.setattr(vttag.simulate, "frame_noise", counting)
+    return draws
+
+
+def fail_fifth_detect(monkeypatch) -> None:
+    """Patch simulate's detect to raise on its fifth call."""
+    calls = []
+    real = vttag.simulate.detect
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise RuntimeError("detector fault")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vttag.simulate, "detect", failing)
+
 
 @pytest.fixture
 def cold_memo():
@@ -526,6 +566,40 @@ class TestNoisePrefetch:
             sys.setswitchinterval(interval)
         assert ticks == [cfg.ticks] * len(cfg.rsus)
 
+    def test_warm_frames_match_inline_render(self, monkeypatch):
+        # the latency-0 session after the latency-2 one: its bystander frames
+        # hit, and a clone frame whose camera and seed are held but whose
+        # screens differ misses with no field drawn ahead
+        cfgs = [lossy(2), lossy(0)]
+        rsu_of = {id(r.camera): i for cfg in cfgs for i, r in enumerate(cfg.rsus)}
+        tick = [None]
+        inline = Counter()  # whether a render drew its own field, per render
+        real_step, real_render = vttag.simulate.step_session, vttag.simulate.render_scene
+
+        def stepping(s, t, *args):
+            tick[0] = t
+            return real_step(s, t, *args)
+
+        def checked(camera, tags, family, noise_sigma=0.0, **kwargs):
+            render_seed = int(np.random.SeedSequence(
+                [3, 0xCA13, rsu_of[id(camera)], tick[0]]).generate_state(1)[0])
+            inline[kwargs.get("noise") is None] += 1
+            want = render_scene(camera, tags, family, noise_sigma=noise_sigma, seed=render_seed)
+            got = real_render(camera, tags, family, noise_sigma=noise_sigma, **kwargs)
+            assert np.array_equal(got.pixels, want.pixels)
+            return got
+
+        monkeypatch.setattr(vttag.simulate, "step_session", stepping)
+        monkeypatch.setattr(vttag.simulate, "render_scene", checked)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over often, to stress the buffer hand-off
+        try:
+            for cfg in cfgs:
+                run_scenario(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert inline[True] > 0 and inline[False] > 0
+
     @pytest.mark.parametrize("sigma, workers", [(2.0, 1), (0.0, 0)])
     def test_worker_lives_only_within_a_noisy_session(self, monkeypatch, sigma, workers):
         before = threading.active_count()
@@ -558,6 +632,18 @@ class TestNoisePrefetch:
             run_scenario(baseline(0, 8))
         assert threading.active_count() == before
 
+    def test_no_thread_outlives_a_failed_session_with_skipped_draws(self, monkeypatch):
+        # every bystander frame of seed 3 is held, and no clone frame of
+        # another focal length, so the worker draws only the clone's fields
+        run_scenario(lossy(2))
+        before = threading.active_count()
+        draws = counting_draws(monkeypatch)
+        fail_fifth_detect(monkeypatch)
+        with pytest.raises(RuntimeError, match="detector fault"):
+            run_scenario(lossy(2, clone_fx=250.0))
+        assert draws[FAR_SHAPE] == 0 and draws[CLONE_SHAPE] > 0
+        assert threading.active_count() == before
+
 
 def counting_detect(monkeypatch) -> list:
     """Patch simulate's detect to count its calls; returns the one-item count."""
@@ -574,6 +660,10 @@ def counting_detect(monkeypatch) -> list:
 
 def memo() -> dict:
     return clone(0, 0)._family_entry[1]
+
+
+def held() -> Counter:
+    return clone(0, 0)._family_entry[2]
 
 
 @pytest.mark.usefixtures("cold_memo")
@@ -624,6 +714,22 @@ class TestFrameMemo:
         run_scenario(ScenarioConfig.from_json_dict({**blob, **edit}))
         assert calls[0] == misses
 
+    def test_key_keeps_the_tag_order(self):
+        # a static attacker on the bus's path: the tags tie in depth and the
+        # first placed one is drawn, so swapping their codes changes every frame
+        def stacked(bus_code, attacker_code):
+            blob = make_clone_attack_scenario(seed=0, reaction_latency=2)
+            blob["bus"]["initial_code"] = bus_code
+            blob["attackers"][0].update(strategy="STATIC", initial_code=attacker_code,
+                                        trajectory=blob["bus"]["trajectory"])
+            return ScenarioConfig.from_json_dict(blob)
+
+        run_scenario(stacked(1, 2))
+        warm = run_scenario(stacked(2, 1))
+        vttag.simulate._family_for.cache_clear()
+        cold = run_scenario(stacked(2, 1))
+        assert (warm.report_json(), warm.events_jsonl()) == (cold.report_json(), cold.events_jsonl())
+
     def test_memo_is_bounded_and_cleared_with_its_family(self, monkeypatch):
         size = vttag.simulate.FRAME_MEMO_SIZE
         seeds = range(size // 40 + 1)  # 40 distinct frames each, more than size in all
@@ -656,3 +762,46 @@ class TestFrameMemo:
         calls = counting_detect(monkeypatch)
         run_scenario(clone(0, 2))
         assert calls[0] == 36
+
+    def test_failed_detect_counts_nothing(self, monkeypatch):
+        fail_fifth_detect(monkeypatch)
+        with pytest.raises(RuntimeError, match="detector fault"):
+            run_scenario(clone(0, 2))
+        assert held() == Counter((view, seed) for view, _, seed in memo())
+        assert sum(held().values()) == 4
+
+    def test_held_count_follows_the_memo(self):
+        # 280 frames of other seeds and of seed 0 at latency 0 evict the
+        # oldest; seed 0 at latency 5 then stores the frames whose screens
+        # differ, under (view, seed) pairs already held
+        size = vttag.simulate.FRAME_MEMO_SIZE
+        for seed, latency in [*((seed, 2) for seed in range(1, size // 40 + 1)), (0, 0), (0, 5)]:
+            run_scenario(clone(seed, latency))
+        assert len(memo()) == size
+        assert held() == Counter((view, seed) for view, _, seed in memo())
+        assert max(held().values()) > 1
+        vttag.simulate._family_for.cache_clear()
+        assert len(memo()) == 0 and not held()
+
+    def test_tag_free_frames_hit_across_screens(self, monkeypatch):
+        # the bystander sees no tag, so its frames are keyed by its camera
+        # and noise seed alone, whatever the screens show
+        run_scenario(lossy(2))
+        shapes = Counter()
+        real = vttag.simulate.detect
+
+        def counting(image, *args, **kwargs):
+            shapes[image.pixels.shape] += 1
+            return real(image, *args, **kwargs)
+
+        monkeypatch.setattr(vttag.simulate, "detect", counting)
+        run_scenario(lossy(0))
+        assert shapes[FAR_SHAPE] == 0 and shapes[CLONE_SHAPE] > 0
+
+    def test_held_frames_draw_no_noise(self, monkeypatch):
+        draws = counting_draws(monkeypatch)
+        run_scenario(lossy(2))
+        assert draws[FAR_SHAPE] == 40
+        draws.clear()
+        run_scenario(lossy(0))
+        assert draws[FAR_SHAPE] == 0
